@@ -6,8 +6,10 @@ Commands:
     decompose U1 U2 U3          decompose one concrete triple product
     table                       print the basis multiplication table
 
-Exit codes: 0 all checks passed, 1 at least one identity failed, 2 I/O error,
-3 malformed input (bad coefficients, parse errors, inconsistent options).
+Exit codes: 0 all checks passed, 1 at least one identity failed, 2 I/O error
+(a missing file, or the reader closing stdout early, which exits quietly),
+3 malformed input (bad coefficients, parse errors, a file that is not UTF-8,
+inconsistent options).
 Output is byte-identical across runs with the same configuration.
 """
 
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +31,7 @@ from .core import (
     EXACT,
     HNum,
     coeff_str,
-    hnum,
+    coerce_scalar,
     inner,
     norm_sq,
     scalar_str,
@@ -65,6 +69,8 @@ class RunConfig:
             object.__setattr__(self, "tolerance", DEFAULT_TOLERANCE)
         if self.backend == EXACT and self.tolerance is not None:
             raise ValueError("--tolerance only applies to the binary64 backend")
+        if self.tolerance is not None and not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"--tolerance must be positive and finite, got {self.tolerance!r}")
         if self.fmt not in ("text", "json"):
             raise ValueError("format must be text or json")
 
@@ -109,6 +115,9 @@ def run_check(cfg: RunConfig, path: str, out=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as err:
+        print(f"error: {path}: not UTF-8 text (byte {err.start})", file=sys.stderr)
+        return 3
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -128,10 +137,12 @@ def _parse_coeffs(text: str, cfg: RunConfig) -> HNum:
     for part in parts:
         part = part.strip()
         try:
-            values.append(Fraction(part))
+            values.append(coerce_scalar(Fraction(part), cfg.backend))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad coefficient {part!r}") from None
-    return hnum(values, cfg.backend)
+        except OverflowError:
+            raise ValueError(f"coefficient {part!r} is beyond the {cfg.backend} range") from None
+    return HNum(cfg.dim, tuple(values), cfg.backend)
 
 
 def run_decompose(cfg: RunConfig, raw1: str, raw2: str, raw3: str, out=None) -> int:
@@ -243,6 +254,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away, as `head` does.  Point stdout at devnull so
+        # the interpreter's last flush does not fail again on the way out.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
+
+
+def _dispatch(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig(

@@ -10,10 +10,20 @@ Index 0 of the coefficient vector is the multiplicative unit i0, and the first
 half of the coefficients of a dim-2n value is a dim-n subalgebra (so the
 quaternions sit inside the octonions as coordinates 0..3).
 
+`_t_mul` states this recursion on coefficient tuples and is the definition of
+the product.  At import it is run once per dimension on symbolic operands that
+record each scalar operation, and the recording becomes a straight-line kernel
+that `mul` calls: the same operations in the same order, so exact and binary64
+results are those of the recursion, bit for bit.  `oracle` derives the product
+a second way, from basis indices, and shares no code with this path on purpose;
+their agreement is the differential test of both.
+
 Two scalar backends are supported.  The "exact" backend keeps coefficients as
 rationals (int or Fraction), so identities can be checked with exact equality.
 The "binary64" backend keeps float coefficients; binary64 values must be
-compared with `allclose`, never with `==`.
+compared with `allclose`, never with `==`.  `scale` by a rational keeps
+integer coefficients as ints wherever the product is integral, so halving an
+even sum builds no Fraction.
 
 Values are immutable and every operation is a pure function.
 """
@@ -58,7 +68,7 @@ def coerce_scalar(value, backend: str) -> Scalar:
     if backend == EXACT:
         if isinstance(value, float):
             raise TypeError("float coefficient not allowed on the exact backend")
-        return _canon(value if isinstance(value, int) else Fraction(value))
+        return _canon(value if isinstance(value, (int, Fraction)) else Fraction(value))
     if backend == BINARY64:
         if isinstance(value, str):
             value = Fraction(value)
@@ -168,9 +178,21 @@ def negate(u: HNum) -> HNum:
     return HNum(u.dim, tuple(-x for x in u.coeffs), u.backend)
 
 
+def _ratio(p: int, d: int):
+    """p/d as an int when d divides p, else as a Fraction (the value of `_canon`)."""
+    q, r = divmod(p, d)
+    return Fraction(p, d) if r else q
+
+
 def scale(s, u: HNum) -> HNum:
     s = coerce_scalar(s, u.backend)
-    return HNum(u.dim, tuple(_canon(s * x) for x in u.coeffs), u.backend)
+    xs = u.coeffs
+    if type(s) is Fraction and all(type(x) is int for x in xs):
+        # A rational times integers, as the halvings in `decomp` and the
+        # suite's 1/2*(...) are: integral products never become Fractions.
+        n, d = s.numerator, s.denominator
+        return HNum(u.dim, tuple(_ratio(n * x, d) for x in xs), u.backend)
+    return HNum(u.dim, tuple(_canon(s * x) for x in xs), u.backend)
 
 
 def _t_conj(t):
@@ -187,8 +209,9 @@ def _t_sub(a, b):
 
 def _t_mul(a, b):
     # Doubling recursion on raw coefficient tuples; base case is the reals.
-    # The two lowest levels are the same recursion expanded in place, which
-    # matters: identity checking multiplies millions of times per run.
+    # This is the definition of the product: `mul` runs the straight-line
+    # kernels generated from it below.  Dims 2 and 4 are the same recursion
+    # expanded in place; the kernels inherit that operation order.
     n = len(a)
     if n == 4:
         a0, a1, a2, a3 = a
@@ -213,6 +236,56 @@ def _t_mul(a, b):
     return lo + hi
 
 
+class _Sym:
+    """Operand that records the arithmetic done on it as Python source.
+
+    Running `_t_mul` on tuples of these yields, per output coefficient, one
+    expression with every `+`, `-`, `*` and negation of the recursion, nested
+    in the order the recursion performs them.
+    """
+
+    __slots__ = ("src",)
+
+    def __init__(self, src: str):
+        self.src = src
+
+    def __add__(self, other):
+        return _Sym(f"({self.src} + {other.src})")
+
+    def __sub__(self, other):
+        return _Sym(f"({self.src} - {other.src})")
+
+    def __mul__(self, other):
+        return _Sym(f"({self.src} * {other.src})")
+
+    def __neg__(self):
+        return _Sym(f"(-{self.src})")
+
+
+def _generate_kernel(dim: int):
+    """Straight-line product for one dimension, generated from `_t_mul`.
+
+    Each coefficient is computed by the same scalar operations in the same
+    order as the recursion, so results agree exactly, bit for bit on floats.
+    """
+    a = [f"a{i}" for i in range(dim)]
+    b = [f"b{i}" for i in range(dim)]
+    out = _t_mul(tuple(map(_Sym, a)), tuple(map(_Sym, b)))
+    src = (
+        f"def _mul{dim}(a, b):\n"
+        f"    {', '.join(a)}, = a\n"
+        f"    {', '.join(b)}, = b\n"
+        f"    return ({', '.join(c.src for c in out)},)\n"
+    )
+    namespace = {}
+    exec(compile(src, f"<triprod kernel dim {dim}>", "exec"), namespace)
+    return namespace[f"_mul{dim}"]
+
+
+# One straight-line product per dimension, generated once at import.
+_KERNELS = {dim: _generate_kernel(dim) for dim in DIMS}
+
+
 def mul(a: HNum, b: HNum) -> HNum:
     """The algebra product.
 
@@ -221,7 +294,7 @@ def mul(a: HNum, b: HNum) -> HNum:
     matters everywhere octonions are involved.
     """
     _check_same(a, b)
-    return HNum(a.dim, _t_mul(a.coeffs, b.coeffs), a.backend)
+    return HNum(a.dim, _KERNELS[a.dim](a.coeffs, b.coeffs), a.backend)
 
 
 def conj(u: HNum) -> HNum:

@@ -8,22 +8,26 @@ Grammar (one identity per string):
     factor   := rational | name | function "(" expr ("," expr)* ")"
               | "(" expr ")" | "-" factor
 
-`rational` is an integer or p/q pair ("3", "1/2").  `i0` is the multiplicative
-unit, `e0`..`e7` are basis elements, and every other identifier is a free
-variable.  Functions: conj, im, re, inner, normsq, cross, acomm (pair ops),
-cross3, acomm3, assoc (triple ops, central factor conjugated internally).
+`rational` is an integer or p/q pair ("3", "1/2") in ASCII digits.  `i0` is
+the multiplicative unit, `e0`..`e7` are basis elements, and every other
+identifier is a free variable.  Functions: conj, im, re, inner, normsq, cross,
+acomm (pair ops), cross3, acomm3, assoc (triple ops, central factor
+conjugated internally).
 
-`*` is left-associative and the evaluator never reassociates it: octonion
+`*` is left-associative and evaluation never reassociates it: octonion
 multiplication is not associative, so parenthesization is semantically
 significant at dim 8.  Expressions are sorted into scalar-valued (rational
 literals, re, inner, normsq and their sums/products) and vector-valued
-everything else; a scalar may multiply a vector only from the left.  Sort and
-arity errors are reported at parse time with a column number.
+everything else; a scalar may multiply a vector only from the left.  Sort,
+arity and nesting errors (beyond MAX_DEPTH levels) are reported at parse time
+with a column number.
 
-Checking an identity samples each free variable with integer coefficients
-from a seeded generator and compares the two sides: exactly on the exact
-backend, within a tolerance on binary64.  A PASS is a property-check verdict
-("no counterexample found"), not a proof.
+Checking an identity compiles each side once into closures, with every
+operation chosen by sort, then calls them on each sample.  Samples give each
+free variable integer coefficients from a seeded generator, the values
+`Random.randint` would draw in the same order, and the two sides are compared
+exactly on the exact backend, within a tolerance on binary64.  A PASS is a
+property-check verdict ("no counterexample found"), not a proof.
 """
 
 from __future__ import annotations
@@ -39,11 +43,11 @@ from .core import (
     BINARY64,
     EXACT,
     HNum,
+    add,
     basis,
     coeff_str,
     coerce_scalar,
     conj,
-    hnum,
     imaginary_part,
     inner,
     mul,
@@ -52,7 +56,7 @@ from .core import (
     real_coeff,
     scalar_str,
     scale,
-    unit,
+    sub,
 )
 
 SCALAR = "scalar"
@@ -61,6 +65,11 @@ VECTOR = "vector"
 PASS = "PASS"
 FAIL = "FAIL"
 PARSE_ERROR = "PARSE_ERROR"
+
+# Deepest accepted nesting, and deepest expression tree.  Parsing, sort
+# checking, rendering and the compiled closures each recurse a few frames per
+# level, so this keeps all of them far below Python's recursion limit.
+MAX_DEPTH = 100
 
 # name -> (arity, result sort, implementation)
 FUNCTIONS = {
@@ -171,6 +180,11 @@ class Identity:
 _SYMBOLS = ("==", "+", "-", "*", "(", ")", ",")
 
 
+# ASCII only: str.isdigit also accepts characters such as '²', which Fraction
+# and int reject.
+_DIGITS = "0123456789"
+
+
 def _tokenize(text: str):
     tokens = []
     i = 0
@@ -181,20 +195,20 @@ def _tokenize(text: str):
             i += 1
             continue
         col = i + 1
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "/" and j + 1 < n and text[j + 1] in _DIGITS:
                 j += 2
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             tokens.append(("NUMBER", text[i:j], col))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j].isalpha() or text[j] in _DIGITS or text[j] == "_"):
                 j += 1
             tokens.append(("NAME", text[i:j], col))
             i = j
@@ -223,6 +237,17 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse, col: int) -> Expr:
+        """Run `parse` one nesting level down: a parenthesis, a call argument
+        or the operand of a unary minus."""
+        if self.depth >= MAX_DEPTH:
+            raise _too_deep(col)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.pos]
@@ -273,9 +298,9 @@ class _Parser:
     def parse_factor(self) -> Expr:
         kind, text, col = self.next()
         if kind == "OP" and text == "-":
-            return Neg(self.parse_factor(), col)
+            return Neg(self.nested(self.parse_factor, col), col)
         if kind == "OP" and text == "(":
-            node = self.parse_expr()
+            node = self.nested(self.parse_expr, col)
             self.expect(")")
             return node
         if kind == "NUMBER":
@@ -283,6 +308,8 @@ class _Parser:
                 value = Fraction(text)
             except ZeroDivisionError:
                 raise ParseError("zero denominator", col) from None
+            except ValueError:  # more digits than int() converts
+                raise ParseError("number too long", col) from None
             return Num(value, col)
         if kind == "NAME":
             return self.parse_name(text, col)
@@ -293,12 +320,12 @@ class _Parser:
         if name in FUNCTIONS:
             arity = FUNCTIONS[name][0]
             self.expect("(")
-            args = [self.parse_expr()]
+            args = [self.nested(self.parse_expr, col)]
             while True:
                 kind, text, tcol = self.peek()
                 if kind == "OP" and text == ",":
                     self.next()
-                    args.append(self.parse_expr())
+                    args.append(self.nested(self.parse_expr, col))
                 else:
                     break
             self.expect(")")
@@ -311,34 +338,39 @@ class _Parser:
         if name == "i0":
             return Unit(col)
         if name[0] == "e" and name[1:].isdigit():
-            index = int(name[1:])
-            if index > 7:
+            # Compared as text: int() refuses names of thousands of digits.
+            index = name[1:].lstrip("0") or "0"
+            if len(index) > 1 or index > "7":
                 raise ParseError(f"no basis element {name} (e0..e7)", col)
-            return Basis(index, col)
+            return Basis(int(index), col)
         return Var(name, col)
 
 
-def _sort_of(expr: Expr) -> str:
-    """Sort of an expression; raises ParseError on sort violations."""
+def _sort_of(expr: Expr, depth: int = 1) -> str:
+    """Sort of an expression; raises ParseError on sort violations, and on a
+    tree deeper than MAX_DEPTH (a long chain such as u+u+...+u is one)."""
+    if depth > MAX_DEPTH:
+        raise _too_deep(expr.col)
+    depth += 1
     if isinstance(expr, Num):
         return SCALAR
     if isinstance(expr, (Var, Unit, Basis)):
         return VECTOR
     if isinstance(expr, Neg):
-        return _sort_of(expr.operand)
+        return _sort_of(expr.operand, depth)
     if isinstance(expr, (Add, Sub)):
-        ls, rs = _sort_of(expr.left), _sort_of(expr.right)
+        ls, rs = _sort_of(expr.left, depth), _sort_of(expr.right, depth)
         if ls != rs:
             raise ParseError(f"cannot add/subtract {ls} and {rs} values", expr.col)
         return ls
     if isinstance(expr, Mul):
-        ls, rs = _sort_of(expr.left), _sort_of(expr.right)
+        ls, rs = _sort_of(expr.left, depth), _sort_of(expr.right, depth)
         if ls == VECTOR and rs == SCALAR:
             raise ParseError("scalar factor must be the left operand of '*'", expr.col)
         return SCALAR if (ls, rs) == (SCALAR, SCALAR) else VECTOR
     if isinstance(expr, Call):
         for arg in expr.args:
-            if _sort_of(arg) != VECTOR:
+            if _sort_of(arg, depth) != VECTOR:
                 raise ParseError(f"{expr.func} takes vector arguments", expr.col)
         return FUNCTIONS[expr.func][1]
     raise TypeError(f"unknown node {expr!r}")
@@ -352,6 +384,10 @@ def _walk(expr: Expr):
             yield from _walk(child)
     for arg in getattr(expr, "args", ()):
         yield from _walk(arg)
+
+
+def _too_deep(col: int) -> ParseError:
+    return ParseError(f"expression nested too deeply (more than {MAX_DEPTH} levels)", col)
 
 
 def _free_vars(lhs: Expr, rhs: Expr) -> tuple:
@@ -405,45 +441,70 @@ def _render(expr: Expr, parent_prec: int) -> str:
 # Evaluation
 
 
+def _compile(expr: Expr, dim: int, backend: str):
+    """`(closure, sort)`: the closure maps an environment to the value of `expr`.
+
+    Sorts are fixed by the parse, so whether `*` is a product, a scaling or a
+    scalar product is decided here once, not on every evaluation.  The closures
+    look up `mul`, `scale`, `add`, `sub`, `negate` and the `FUNCTIONS` entries
+    by name when called, as a direct call would.  They nest one call per tree
+    level, which `parse` bounds by MAX_DEPTH.
+    """
+    if isinstance(expr, Num):
+        value = coerce_scalar(expr.value, backend)
+        return (lambda env: value), SCALAR
+    if isinstance(expr, Var):
+        name = expr.name
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise EvalError(f"unbound variable {name!r}") from None
+
+        return var, VECTOR
+    if isinstance(expr, (Unit, Basis)):
+        index = expr.index if isinstance(expr, Basis) else 0
+        if index >= dim:
+            raise EvalError(f"basis element e{index} does not exist at dimension {dim}")
+        value = basis(dim, index, backend)
+        return (lambda env: value), VECTOR
+    if isinstance(expr, Neg):
+        f, sort = _compile(expr.operand, dim, backend)
+        if sort == VECTOR:
+            return (lambda env: negate(f(env))), sort
+        return (lambda env: -f(env)), sort
+    if isinstance(expr, (Add, Sub, Mul)):
+        f, ls = _compile(expr.left, dim, backend)
+        g, rs = _compile(expr.right, dim, backend)
+        if isinstance(expr, Mul):
+            if ls == VECTOR:
+                return (lambda env: mul(f(env), g(env))), VECTOR
+            if rs == VECTOR:
+                return (lambda env: scale(f(env), g(env))), VECTOR
+            return (lambda env: f(env) * g(env)), SCALAR
+        if isinstance(expr, Add):
+            if ls == VECTOR:
+                return (lambda env: add(f(env), g(env))), ls
+            return (lambda env: f(env) + g(env)), ls
+        if ls == VECTOR:
+            return (lambda env: sub(f(env), g(env))), ls
+        return (lambda env: f(env) - g(env)), ls
+    if isinstance(expr, Call):
+        name = expr.func
+        args = tuple(_compile(a, dim, backend)[0] for a in expr.args)
+        return (lambda env: FUNCTIONS[name][2](*[f(env) for f in args])), FUNCTIONS[name][1]
+    raise TypeError(f"unknown node {expr!r}")
+
+
 def evaluate(expr: Expr, env: dict, dim: int, backend: str = EXACT):
-    """Evaluate to an HNum or a scalar.
+    """Evaluate to an HNum or a scalar, by compiling `expr` and calling it once.
 
     Multiplication follows source order; chains are evaluated left to right
     exactly as parsed.  All free variables must be bound in `env` to HNums of
     the requested dimension and backend.
     """
-    if isinstance(expr, Num):
-        return coerce_scalar(expr.value, backend)
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {expr.name!r}") from None
-    if isinstance(expr, Unit):
-        return unit(dim, backend)
-    if isinstance(expr, Basis):
-        if expr.index >= dim:
-            raise EvalError(f"basis element e{expr.index} does not exist at dimension {dim}")
-        return basis(dim, expr.index, backend)
-    if isinstance(expr, Neg):
-        value = evaluate(expr.operand, env, dim, backend)
-        return negate(value) if isinstance(value, HNum) else -value
-    if isinstance(expr, (Add, Sub)):
-        left = evaluate(expr.left, env, dim, backend)
-        right = evaluate(expr.right, env, dim, backend)
-        return left - right if isinstance(expr, Sub) else left + right
-    if isinstance(expr, Mul):
-        left = evaluate(expr.left, env, dim, backend)
-        right = evaluate(expr.right, env, dim, backend)
-        if isinstance(left, HNum):
-            return mul(left, right)
-        if isinstance(right, HNum):
-            return scale(left, right)
-        return left * right
-    if isinstance(expr, Call):
-        impl = FUNCTIONS[expr.func][2]
-        return impl(*(evaluate(a, env, dim, backend) for a in expr.args))
-    raise TypeError(f"unknown node {expr!r}")
+    return _compile(expr, dim, backend)[0](env)
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +553,15 @@ def _parse_error_report(text, dim, backend, seed, err: ParseError) -> CheckRepor
 
 
 def _run_check(identity: Identity, envs, dim, backend, tolerance, seed) -> CheckReport:
+    lhs = _compile(identity.lhs, dim, backend)[0]
+    rhs = _compile(identity.rhs, dim, backend)[0]
     trials = 0
     failures = 0
     max_dev = coerce_scalar(0, backend)
     witness = None
     for env in envs:
         trials += 1
-        left = evaluate(identity.lhs, env, dim, backend)
-        right = evaluate(identity.rhs, env, dim, backend)
-        dev = _deviation(left, right)
+        dev = _deviation(lhs(env), rhs(env))
         if dev > max_dev:
             max_dev = dev
         if backend == EXACT:
@@ -533,6 +594,29 @@ def _validate(identity: Identity, dim: int, backend: str, tolerance):
             )
 
 
+def _sampler(rng: random.Random, bound: int):
+    """`draw(count)`: the next `count` values of `rng.randint(-bound, bound)`.
+
+    This is the rejection loop `randint` runs (`Random._randbelow`): draw
+    `k` bits, reject values beyond the range.  The values and the generator
+    state are those of calling `randint` `count` times, without its two
+    Python calls per value.
+    """
+    n = 2 * bound + 1
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+
+    def draw(count: int) -> list:
+        out = []
+        while len(out) < count:
+            r = getrandbits(k)
+            if r < n:
+                out.append(r - bound)
+        return out
+
+    return draw
+
+
 def check_identity(identity, dim: int = 8, backend: str = EXACT, trials: int = 1000,
                    seed: int = 42, coeff_range: int = 9,
                    tolerance: float | None = None) -> CheckReport:
@@ -546,6 +630,8 @@ def check_identity(identity, dim: int = 8, backend: str = EXACT, trials: int = 1
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if coeff_range < 0:
+        raise ValueError("coeff_range must be >= 0")
     if isinstance(identity, str):
         try:
             identity = parse(identity)
@@ -556,15 +642,18 @@ def check_identity(identity, dim: int = 8, backend: str = EXACT, trials: int = 1
     except ParseError as err:
         return _parse_error_report(identity.text, dim, backend, seed, err)
 
-    rng = random.Random(seed)
+    draw = _sampler(random.Random(seed), coeff_range)
     names = identity.free_vars
+    exact = backend == EXACT
 
     def envs():
         for _ in range(trials):
-            yield {
-                name: hnum([rng.randint(-coeff_range, coeff_range) for _ in range(dim)], backend)
-                for name in names
-            }
+            env = {}
+            for name in names:
+                coeffs = draw(dim)
+                env[name] = HNum(dim, tuple(coeffs) if exact else tuple(map(float, coeffs)),
+                                 backend)
+            yield env
 
     return _run_check(identity, envs(), dim, backend, tolerance, seed)
 

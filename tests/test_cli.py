@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -63,10 +64,105 @@ def test_suite_output_is_byte_stable():
     assert json_first.stdout == json_second.stdout
 
 
+# sha256 of the stdout of `triprod suite --trials 20 --seed 42`, per backend
+# and dim.  They pin every sampled coefficient and, on binary64, the order of
+# every float operation: a faster kernel, sampler or evaluator must leave
+# them unchanged.  A change here is a change to every report users see.
+PINNED_REPORTS = {
+    ("exact", "8"): "e70eac7d4f0b74f4e9ac894206fb08d81c16b5dce4309362c9120c126145d156",
+    ("exact", "4"): "b434b3f254bf278453a69dd45eb892fab1a22017ab45642f914eed0a6ba4b524",
+    ("binary64", "8"): "a6fce1050b0aa3a856f3cd358e5e0c4acfdf04cb9df16f323bbd58a1f7bdb0ea",
+    ("binary64", "4"): "f8883d337b2efe05b5d532e9ce0aa03ddfb18e5f8763203e54a45997141d6bea",
+}
+
+
+@pytest.mark.parametrize("backend,dim", sorted(PINNED_REPORTS))
+def test_suite_reports_are_pinned(backend, dim):
+    result = run_cli("suite", "--trials", "20", "--seed", "42", "--backend", backend, "--dim", dim)
+    assert result.returncode == 0
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert digest == PINNED_REPORTS[(backend, dim)]
+
+
+# Suite samples are small integers, so binary64 suite arithmetic is mostly
+# exact and would hide a reordered float operation.  These rational inputs
+# round at nearly every step.  The digest pins the arguments, the product and
+# the three parts (the first seven lines), which only products, sums and
+# halvings make; the inner products and lengths after them go through the
+# built-in sum(), whose float rounding differs from Python 3.12 on.
+ROUNDING_TRIPLE = (
+    "1/3,-2/7,5/11,1/13,-17/19,23/29,-1/31,37/41",
+    "3/5,1/9,-4/17,11/23,-7/27,13/31,1/37,-19/43",
+    "5/7,2/3,1/29,-31/37,3/41,-5/47,43/53,-1/59",
+)
+
+
+def test_decompose_binary64_parts_are_pinned():
+    result = run_cli("decompose", "--backend", "binary64", *ROUNDING_TRIPLE)
+    assert result.returncode == 0
+    parts = "".join(result.stdout.splitlines(keepends=True)[:7])
+    assert parts.splitlines()[-1].startswith("associator     = ")
+    digest = hashlib.sha256(parts.encode("utf-8")).hexdigest()
+    assert digest == "16cbd159b522945343b4bcd159abc9e971353be355b1e9bfbe2ff40469ea8fef"
+
+
+def _one_error_line(stderr: str) -> bool:
+    return stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
 def test_tolerance_rejected_on_exact_backend():
     result = run_cli("suite", "--tolerance", "1e-9", *FAST)
     assert result.returncode == 3
     assert "binary64" in result.stderr
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+def test_tolerance_must_be_positive_and_finite(tolerance):
+    result = run_cli("suite", "--backend", "binary64", "--tolerance", tolerance, *FAST)
+    assert result.returncode == 3
+    assert _one_error_line(result.stderr)
+    assert result.stdout == ""
+
+
+def test_check_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.ids"
+    path.write_bytes(b"u1 == u1\nnormsq(u1) == 1 # \xe9\n")
+    result = run_cli("check", str(path), *FAST)
+    assert result.returncode == 3
+    assert _one_error_line(result.stderr)
+    assert "UTF-8" in result.stderr
+
+
+def test_check_reports_malformed_identities(tmp_path):
+    path = tmp_path / "malformed.ids"
+    path.write_text(
+        "u1 == \u00b2*u1\n"                               # a non-ASCII digit
+        + "u1 == " + "(" * 3000 + "u1" + ")" * 3000 + "\n"  # nested too deeply
+        + "i0*u1 == u1\n",
+        encoding="utf-8",
+    )
+    result = run_cli("check", str(path), *FAST)
+    assert result.returncode == 3
+    assert result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("line 1: PARSE_ERROR") and "col 7: unexpected character" in lines[0]
+    assert lines[1].startswith("line 2: PARSE_ERROR") and "nested too deeply" in lines[1]
+    assert lines[2].startswith("line 3: PASS")
+
+
+def test_stdout_closed_early_exits_quietly(tmp_path):
+    # Far more output than a pipe buffers, so writes still fail after the
+    # reader has gone, as they do for `triprod suite | head -1`.
+    path = tmp_path / "many.ids"
+    path.write_text("i0 == i0\n" * 3000, encoding="utf-8")
+    proc = subprocess.Popen(BASE + ["check", str(path), "--trials", "1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"line 1: PASS")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert stderr == b""
 
 
 def test_check_passing_file(tmp_path):
@@ -169,6 +265,16 @@ def test_decompose_wrong_length():
     result = run_cli("decompose", "0,1", "1,0", "0,0", "--dim", "8")
     assert result.returncode == 3
     assert "expected 8" in result.stderr
+
+
+def test_decompose_binary64_overflow():
+    result = run_cli(
+        "decompose", "--backend", "binary64",
+        "1e400,0,0,0,0,0,0,0", "0,1,0,0,0,0,0,0", "0,0,1,0,0,0,0,0",
+    )
+    assert result.returncode == 3
+    assert _one_error_line(result.stderr)
+    assert "1e400" in result.stderr
 
 
 def test_decompose_malformed_coefficient():

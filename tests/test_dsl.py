@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,18 @@ from triprod import (
     pretty,
     real_coeff,
 )
-from triprod.dsl import Add, Basis, EvalError, Mul, Num, Sub, Unit, Var, report_json_obj
+from triprod.dsl import (
+    MAX_DEPTH,
+    Add,
+    Basis,
+    EvalError,
+    Mul,
+    Num,
+    Sub,
+    Unit,
+    Var,
+    report_json_obj,
+)
 from triprod.suite import builtin_lines
 
 DECOMPOSITION_LINE = "(u1*conj(u2))*u3 == acomm3(u1,u2,u3) + cross3(u1,u2,u3) + assoc(u1,u2,u3)"
@@ -173,6 +185,91 @@ def test_evaluate_basis_beyond_dimension():
     expr = parse("e5 == e5").lhs
     with pytest.raises(EvalError, match="dimension 4"):
         evaluate(expr, {}, 4, EXACT)
+
+
+def test_evaluate_unbound_variable_inside_a_compound():
+    expr = parse("cross3(u1, 2*u2, i0) == u1").lhs
+    with pytest.raises(EvalError, match="'u2'"):
+        evaluate(expr, {"u1": basis(8, 1)}, 8, EXACT)
+
+
+# --- malformed input ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("text,col", [
+    ("u1 == ²*u1", 7),      # superscript two: str.isdigit accepts it
+    ("u1 == u²", 8),
+    ("e² == e²", 2),
+    ("u1 == ٣*u1", 7),      # Arabic-Indic three
+])
+def test_non_ascii_digits_are_parse_errors(text, col):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.col == col
+    report = check_identity(text, dim=8, trials=5)
+    assert report.status == "PARSE_ERROR"
+    assert f"col {col}:" in report.message
+
+
+def test_overlong_number_is_a_parse_error():
+    report = check_identity("1" * 5000 + "*u1 == u1", dim=8, trials=5)
+    assert report.status == "PARSE_ERROR"
+    assert "number too long" in report.message
+
+
+def _nested(shape: str, levels: int) -> str:
+    """An identity whose left side nests `levels` deep in the given way."""
+    if shape == "parens":
+        return "(" * levels + "u1" + ")" * levels + " == u1"
+    if shape == "minus":
+        return "-" * levels + "u1 == u1"
+    if shape == "calls":
+        return "conj(" * levels + "u1" + ")" * levels + " == u1"
+    return " + ".join(["u1"] * levels) + " == u1"  # a left-deep chain
+
+
+# Deepest accepted input of each shape: parentheses add no tree level, a
+# unary minus or a call adds one above its operand, a chain of n terms is a
+# tree n levels deep.
+DEEPEST = {"parens": MAX_DEPTH, "minus": MAX_DEPTH - 1, "calls": MAX_DEPTH - 1, "chain": MAX_DEPTH}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEPEST))
+def test_deepest_accepted_nesting_checks(shape):
+    report = check_identity(_nested(shape, DEEPEST[shape]), dim=8, trials=3)
+    assert report.status in ("PASS", "FAIL")
+    assert report.trials == 3
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_nesting_limit_keeps_recursion_far_below_the_interpreter_limit():
+    # Parsing, sort checking and the compiled closures together may use a
+    # handful of frames per level, no more: 6 * MAX_DEPTH is well under the
+    # default limit of 1000, whatever the caller's own depth.
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 6 * MAX_DEPTH)
+    try:
+        for shape, levels in DEEPEST.items():
+            assert check_identity(_nested(shape, levels), dim=8, trials=2).trials == 2
+            too_deep = check_identity(_nested(shape, levels + 3000), dim=8, trials=2)
+            assert too_deep.status == "PARSE_ERROR"
+    finally:
+        sys.setrecursionlimit(old)
+
+
+@pytest.mark.parametrize("levels", [1, 3000])
+@pytest.mark.parametrize("shape", sorted(DEEPEST))
+def test_too_deep_nesting_is_a_parse_error(shape, levels):
+    report = check_identity(_nested(shape, DEEPEST[shape] + levels), dim=8, trials=3)
+    assert report.status == "PARSE_ERROR"
+    assert "nested too deeply" in report.message
+    assert report.message.startswith("col ")
 
 
 def test_evaluate_source_order_multiplication():

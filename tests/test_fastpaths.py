@@ -1,0 +1,126 @@
+"""Each fast path on the checking hot path against the plain code it replaces.
+
+The generated kernels must reproduce `_t_mul` bit for bit, the sampler must
+reproduce `Random.randint`, and `scale` must return what `_canon(s * x)`
+returns, value and type.  Any difference here would change reports.
+"""
+
+import random
+from fractions import Fraction
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given
+
+from triprod import BINARY64, DIMS, EXACT, HNum, check_identity, mul, scale
+from triprod.core import _canon, _t_mul
+from triprod.dsl import _sampler
+
+INTS = st.integers(min_value=-10**30, max_value=10**30)
+FRACTIONS = st.fractions(max_denominator=10**6)
+# Up to 1e150, so a product of two coefficients stays finite.
+FLOATS = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+def _exact(x):
+    """Type and shortest repr: equal only if bit-identical (tells -0.0 from 0.0)."""
+    return type(x), repr(x)
+
+
+def _pairs(coeff):
+    return st.sampled_from(DIMS).flatmap(
+        lambda dim: st.tuples(
+            st.lists(coeff, min_size=dim, max_size=dim).map(tuple),
+            st.lists(coeff, min_size=dim, max_size=dim).map(tuple),
+        )
+    )
+
+
+def _assert_kernel_matches(a, b, backend):
+    dim = len(a)
+    got = mul(HNum(dim, a, backend), HNum(dim, b, backend)).coeffs
+    assert list(map(_exact, got)) == list(map(_exact, _t_mul(a, b)))
+
+
+@given(_pairs(INTS))
+def test_kernel_matches_recursion_on_ints(pair):
+    _assert_kernel_matches(*pair, EXACT)
+
+
+@given(_pairs(st.one_of(INTS, FRACTIONS)))
+def test_kernel_matches_recursion_on_fractions(pair):
+    _assert_kernel_matches(*pair, EXACT)
+
+
+@given(_pairs(FLOATS))
+def test_kernel_matches_recursion_bit_for_bit_on_floats(pair):
+    _assert_kernel_matches(*pair, BINARY64)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_kernel_matches_recursion_on_random_floats(dim):
+    # Hypothesis favours simple floats, whose products and sums are often
+    # exact; uniformly drawn mantissas round at almost every operation, so a
+    # reordered sum shows here.
+    rng = random.Random(dim)
+
+    def coeffs():
+        return tuple(rng.uniform(-1, 1) * 10.0 ** rng.randint(-150, 150) for _ in range(dim))
+
+    for _ in range(300):
+        _assert_kernel_matches(coeffs(), coeffs(), BINARY64)
+        _assert_kernel_matches(tuple(rng.uniform(-1, 1) for _ in range(dim)),
+                               tuple(rng.uniform(-1, 1) for _ in range(dim)), BINARY64)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_kernel_keeps_signed_zeros(dim):
+    a = tuple(-0.0 if i % 2 else 0.0 for i in range(dim))
+    b = tuple(0.0 if i % 3 else -0.0 for i in range(dim))
+    _assert_kernel_matches(a, b, BINARY64)
+
+
+@pytest.mark.parametrize("bound", [1, 9, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2024])
+def test_sampler_draws_the_randint_sequence(bound, seed):
+    rng = random.Random(seed)
+    draw = _sampler(rng, bound)
+    got = [x for count in (8, 1, 4, 8, 2, 8) * 20 for x in draw(count)]
+    ref = random.Random(seed)
+    assert got == [ref.randint(-bound, bound) for _ in range(len(got))]
+    assert rng.getstate() == ref.getstate()
+
+
+def test_sampler_at_bound_zero_still_draws():
+    # randint(0, 0) consumes generator output too; the sampler must match.
+    rng, ref = random.Random(3), random.Random(3)
+    assert _sampler(rng, 0)(5) == [ref.randint(0, 0) for _ in range(5)]
+    assert rng.getstate() == ref.getstate()
+
+
+def test_negative_coefficient_range_is_rejected():
+    # An empty range: randint raises, and the sampler must not loop forever.
+    with pytest.raises(ValueError):
+        check_identity("u1 == u1", dim=2, trials=1, coeff_range=-1)
+
+
+@given(
+    st.one_of(FRACTIONS, st.integers(min_value=-50, max_value=50)),
+    st.sampled_from(DIMS).flatmap(
+        lambda dim: st.lists(INTS, min_size=dim, max_size=dim).map(tuple)),
+)
+def test_scale_matches_canonical_products(s, xs):
+    got = scale(s, HNum(len(xs), xs, EXACT)).coeffs
+    assert list(map(_exact, got)) == [_exact(_canon(Fraction(s) * x)) for x in xs]
+
+
+def test_scale_halving_keeps_ints_and_odd_halves():
+    got = scale(Fraction(1, 2), HNum(4, (2, 3, -4, -5), EXACT)).coeffs
+    assert got == (1, Fraction(3, 2), -2, Fraction(-5, 2))
+    assert [type(c) for c in got] == [int, Fraction, int, Fraction]
+
+
+def test_scale_with_fraction_coefficients_takes_the_general_path():
+    got = scale(Fraction(2, 3), HNum(2, (Fraction(3, 2), 5), EXACT)).coeffs
+    assert got == (1, Fraction(10, 3))
+    assert [type(c) for c in got] == [int, Fraction]
