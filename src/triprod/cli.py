@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import decomp
@@ -30,6 +29,7 @@ from .core import (
     DIMS,
     EXACT,
     HNum,
+    Record,
     coeff_str,
     coerce_scalar,
     inner,
@@ -38,25 +38,21 @@ from .core import (
 )
 from .dsl import FAIL, PARSE_ERROR, check_identity, report_json_obj, report_text
 from .oracle import build_table, format_table
-from .suite import builtin_lines
+from .suite import builtin_lines, numbered_lines
 
 DEFAULT_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Validated knobs shared by all commands; tolerance only with binary64."""
 
-    command: str
-    dim: int = 8
-    backend: str = EXACT
-    trials: int = 1000
-    seed: int = 42
-    coeff_range: int = 9
-    tolerance: float | None = None
-    fmt: str = "text"
+    __slots__ = ("command", "dim", "backend", "trials", "seed", "coeff_range", "tolerance", "fmt")
+    _defaults = {"dim": 8, "backend": EXACT, "trials": 1000, "seed": 42, "coeff_range": 9,
+                 "tolerance": None, "fmt": "text"}
 
-    def __post_init__(self):
+    def _check(self):
+        # Runs while the fields can still be set, so it can fill in the
+        # binary64 default tolerance.
         if self.dim not in DIMS:
             raise ValueError(f"dim must be one of {DIMS}")
         if self.backend not in BACKENDS:
@@ -66,7 +62,7 @@ class RunConfig:
         if self.coeff_range < 1:
             raise ValueError("coeff-range must be >= 1")
         if self.backend == BINARY64 and self.tolerance is None:
-            object.__setattr__(self, "tolerance", DEFAULT_TOLERANCE)
+            self.tolerance = DEFAULT_TOLERANCE
         if self.backend == EXACT and self.tolerance is not None:
             raise ValueError("--tolerance only applies to the binary64 backend")
         if self.tolerance is not None and not (math.isfinite(self.tolerance) and self.tolerance > 0):
@@ -118,12 +114,7 @@ def run_check(cfg: RunConfig, path: str, out=None) -> int:
     except UnicodeDecodeError as err:
         print(f"error: {path}: not UTF-8 text (byte {err.start})", file=sys.stderr)
         return 3
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
-    any_parse, any_fail = _check_lines(lines, cfg, out, numbered=True)
+    any_parse, any_fail = _check_lines(numbered_lines(text), cfg, out, numbered=True)
     if any_parse:
         return 3
     return 1 if any_fail else 0
@@ -155,11 +146,28 @@ def run_decompose(cfg: RunConfig, raw1: str, raw2: str, raw3: str, out=None) -> 
         print(f"error: {err}", file=sys.stderr)
         return 3
     parts = decomp.decompose_triple(u1, u2, u3)
+    try:
+        text = _render_decomposition(cfg, (u1, u2, u3), parts)
+    except ValueError:
+        # str() of an exact integer refuses more than this many digits.
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a result has more than {limit} digits and cannot be printed",
+              file=sys.stderr)
+        return 3
+    out.write(text)
+    return 0
+
+
+def _render_decomposition(cfg: RunConfig, inputs, parts) -> str:
+    """The whole `decompose` report, rendered before any of it is written."""
+    u1, u2, u3 = inputs
     lengths = (
         norm_sq(parts.anticommutator),
         norm_sq(parts.cross),
         norm_sq(parts.associator),
     )
+    # Added left to right, never with sum(): see core.inner.
+    length_sum = lengths[0] + lengths[1] + lengths[2]
     norm_product = norm_sq(u1) * norm_sq(u2) * norm_sq(u3)
     inners = (
         inner(parts.anticommutator, parts.cross),
@@ -187,27 +195,27 @@ def run_decompose(cfg: RunConfig, raw1: str, raw2: str, raw3: str, out=None) -> 
                 "cross": scalar_str(lengths[1]),
                 "associator": scalar_str(lengths[2]),
             },
-            "squared_length_sum": scalar_str(sum(lengths)),
+            "squared_length_sum": scalar_str(length_sum),
             "norm_product": scalar_str(norm_product),
         }
-        out.write(json.dumps(obj) + "\n")
-    else:
-        out.write(f"u1             = {coeff_str(u1)}\n")
-        out.write(f"u2             = {coeff_str(u2)}\n")
-        out.write(f"u3             = {coeff_str(u3)}\n")
-        out.write(f"(u1*conj(u2))*u3 = {coeff_str(parts.product)}\n")
-        out.write(f"anticommutator = {coeff_str(parts.anticommutator)}\n")
-        out.write(f"cross          = {coeff_str(parts.cross)}\n")
-        out.write(f"associator     = {coeff_str(parts.associator)}\n")
-        out.write(f"inner(anticommutator, cross)      = {scalar_str(inners[0])}\n")
-        out.write(f"inner(anticommutator, associator) = {scalar_str(inners[1])}\n")
-        out.write(f"inner(cross, associator)          = {scalar_str(inners[2])}\n")
-        out.write(f"|anticommutator|^2 = {scalar_str(lengths[0])}\n")
-        out.write(f"|cross|^2          = {scalar_str(lengths[1])}\n")
-        out.write(f"|associator|^2     = {scalar_str(lengths[2])}\n")
-        out.write(f"sum of squared lengths            = {scalar_str(sum(lengths))}\n")
-        out.write(f"normsq(u1)*normsq(u2)*normsq(u3)  = {scalar_str(norm_product)}\n")
-    return 0
+        return json.dumps(obj) + "\n"
+    return (
+        f"u1             = {coeff_str(u1)}\n"
+        f"u2             = {coeff_str(u2)}\n"
+        f"u3             = {coeff_str(u3)}\n"
+        f"(u1*conj(u2))*u3 = {coeff_str(parts.product)}\n"
+        f"anticommutator = {coeff_str(parts.anticommutator)}\n"
+        f"cross          = {coeff_str(parts.cross)}\n"
+        f"associator     = {coeff_str(parts.associator)}\n"
+        f"inner(anticommutator, cross)      = {scalar_str(inners[0])}\n"
+        f"inner(anticommutator, associator) = {scalar_str(inners[1])}\n"
+        f"inner(cross, associator)          = {scalar_str(inners[2])}\n"
+        f"|anticommutator|^2 = {scalar_str(lengths[0])}\n"
+        f"|cross|^2          = {scalar_str(lengths[1])}\n"
+        f"|associator|^2     = {scalar_str(lengths[2])}\n"
+        f"sum of squared lengths            = {scalar_str(length_sum)}\n"
+        f"normsq(u1)*normsq(u2)*normsq(u3)  = {scalar_str(norm_product)}\n"
+    )
 
 
 def run_table(cfg: RunConfig, out=None) -> int:

@@ -25,13 +25,23 @@ compared with `allclose`, never with `==`.  `scale` by a rational keeps
 integer coefficients as ints wherever the product is integral, so halving an
 even sum builds no Fraction.
 
-Values are immutable and every operation is a pure function.
+Values are immutable and every operation is a pure function.  `HNum(dim,
+coeffs, backend)` validates its arguments; the results that `add`, `sub`,
+`negate`, `mul`, `scale`, `conj`, `imaginary_part` and `embed` build from
+already validated operands are made by `_hnum`, which does not check them
+again.  Sums of products (`inner`, `norm_sq`) add left to right from int 0,
+so binary64 results are the same on every supported Python.
+
+`Record` is the base of the package's immutable value types: fields in
+`__slots__`, equality, hashing and a repr over the fields, and a constructor
+generated once per class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add as _add, mul as _mul
 from typing import Union
 
 EXACT = "exact"
@@ -81,15 +91,84 @@ def scalar_str(x: Scalar) -> str:
     return repr(x) if isinstance(x, float) else str(x)
 
 
-@dataclass(frozen=True, slots=True)
-class HNum:
+_new = object.__new__
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in `__slots__`, may give defaults for trailing
+    fields in `_defaults`, and may leave fields out of `==` and `hash` by
+    naming them in `_uncompared`.  When the subclass is defined, a constructor
+    specialised to its fields is generated once; it takes them positionally
+    or by keyword.  The constructor fills an instance of a twin class with the
+    same layout that allows assignment, calls the subclass's `_check` if it
+    has one (to validate, or to fill in a derived value), and then makes the
+    instance a member of the subclass, whose fields cannot be assigned or
+    deleted.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+    _uncompared = ()
+
+    def __init_subclass__(cls, twin=False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(f for c in reversed(cls.__mro__) for f in vars(c).get("__slots__", ()))
+        if twin or not fields:
+            return
+        cls._fields = cls.__match_args__ = fields
+        cls._open = type(cls.__name__, (cls,), {
+            "__slots__": (),
+            "__setattr__": object.__setattr__,
+            "__delattr__": object.__delattr__,
+        }, twin=True)
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in fields)
+        body = "".join(f"    self.{f} = {f}\n" for f in fields)
+        if hasattr(cls, "_check"):
+            body += "    self._check()\n"
+        key = "".join(f"self.{f}, " for f in fields if f not in cls._uncompared)
+        src = (
+            f"def __new__(cls, {params}):\n"
+            f"    self = _new(_open)\n{body}"
+            f"    self.__class__ = cls\n"
+            f"    return self\n"
+            f"def _key(self):\n"
+            f"    return ({key})\n"
+        )
+        namespace = {"_new": _new, "_open": cls._open, "_defaults": cls._defaults}
+        exec(compile(src, f"<{cls.__qualname__} record>", "exec"), namespace)
+        cls.__new__ = staticmethod(namespace["__new__"])
+        cls._key = namespace["_key"]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class HNum(Record):
     """A hypercomplex number: `dim` coefficients over a single scalar backend."""
 
-    dim: int
-    coeffs: tuple
-    backend: str
+    __slots__ = ("dim", "coeffs", "backend")
 
-    def __post_init__(self):
+    def _check(self):
         if self.dim not in DIMS:
             raise ValueError(f"dimension must be one of {DIMS}, got {self.dim}")
         if len(self.coeffs) != self.dim:
@@ -118,6 +197,19 @@ class HNum:
     def __repr__(self):
         body = ", ".join(scalar_str(c) for c in self.coeffs)
         return f"HNum([{body}], backend={self.backend!r})"
+
+
+_OpenHNum = HNum._open
+
+
+def _hnum(dim: int, coeffs: tuple, backend: str) -> HNum:
+    """An HNum from parts that are valid by construction, left unchecked."""
+    u = _new(_OpenHNum)
+    u.dim = dim
+    u.coeffs = coeffs
+    u.backend = backend
+    u.__class__ = HNum
+    return u
 
 
 def hnum(values, backend: str = EXACT) -> HNum:
@@ -154,7 +246,7 @@ def embed(u: HNum, dim: int) -> HNum:
     if dim == u.dim:
         return u
     z = coerce_scalar(0, u.backend)
-    return HNum(dim, u.coeffs + (z,) * (dim - u.dim), u.backend)
+    return _hnum(dim, u.coeffs + (z,) * (dim - u.dim), u.backend)
 
 
 def _check_same(a: HNum, b: HNum):
@@ -166,16 +258,16 @@ def _check_same(a: HNum, b: HNum):
 
 def add(a: HNum, b: HNum) -> HNum:
     _check_same(a, b)
-    return HNum(a.dim, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), a.backend)
+    return _hnum(a.dim, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), a.backend)
 
 
 def sub(a: HNum, b: HNum) -> HNum:
     _check_same(a, b)
-    return HNum(a.dim, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)), a.backend)
+    return _hnum(a.dim, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)), a.backend)
 
 
 def negate(u: HNum) -> HNum:
-    return HNum(u.dim, tuple(-x for x in u.coeffs), u.backend)
+    return _hnum(u.dim, tuple(-x for x in u.coeffs), u.backend)
 
 
 def _ratio(p: int, d: int):
@@ -191,8 +283,8 @@ def scale(s, u: HNum) -> HNum:
         # A rational times integers, as the halvings in `decomp` and the
         # suite's 1/2*(...) are: integral products never become Fractions.
         n, d = s.numerator, s.denominator
-        return HNum(u.dim, tuple(_ratio(n * x, d) for x in xs), u.backend)
-    return HNum(u.dim, tuple(_canon(s * x) for x in xs), u.backend)
+        return _hnum(u.dim, tuple(_ratio(n * x, d) for x in xs), u.backend)
+    return _hnum(u.dim, tuple(_canon(s * x) for x in xs), u.backend)
 
 
 def _t_conj(t):
@@ -294,12 +386,12 @@ def mul(a: HNum, b: HNum) -> HNum:
     matters everywhere octonions are involved.
     """
     _check_same(a, b)
-    return HNum(a.dim, _KERNELS[a.dim](a.coeffs, b.coeffs), a.backend)
+    return _hnum(a.dim, _KERNELS[a.dim](a.coeffs, b.coeffs), a.backend)
 
 
 def conj(u: HNum) -> HNum:
     """Conjugate: negate every coefficient except the unit's (index 0)."""
-    return HNum(u.dim, _t_conj(u.coeffs), u.backend)
+    return _hnum(u.dim, _t_conj(u.coeffs), u.backend)
 
 
 def inner(a: HNum, b: HNum) -> Scalar:
@@ -308,17 +400,20 @@ def inner(a: HNum, b: HNum) -> Scalar:
     Coincides with the unit coefficient of (a*conj(b) + b*conj(a)) / 2.
     """
     _check_same(a, b)
-    return sum(x * y for x, y in zip(a.coeffs, b.coeffs))
+    # Left to right from int 0, as `sum` did before Python 3.12 began to
+    # compensate float sums: binary64 results must not depend on the version.
+    return reduce(_add, map(_mul, a.coeffs, b.coeffs), 0)
 
 
 def norm_sq(u: HNum) -> Scalar:
     """Squared length (u, u); also the unit coefficient of u * conj(u)."""
-    return sum(x * x for x in u.coeffs)
+    xs = u.coeffs
+    return reduce(_add, map(_mul, xs, xs), 0)
 
 
 def imaginary_part(u: HNum) -> HNum:
     """u with its unit coefficient zeroed."""
-    return HNum(u.dim, (coerce_scalar(0, u.backend),) + u.coeffs[1:], u.backend)
+    return _hnum(u.dim, (coerce_scalar(0, u.backend),) + u.coeffs[1:], u.backend)
 
 
 def real_coeff(u: HNum) -> Scalar:
@@ -352,13 +447,3 @@ def coeff_str(u: HNum) -> str:
     """Comma-joined coefficient string, the same syntax the CLI accepts as input."""
     return ",".join(scalar_str(c) for c in u.coeffs)
 
-
-@dataclass(frozen=True, slots=True)
-class GramMatrix:
-    """Symmetric 3x3 matrix of pairwise inner products."""
-
-    entries: tuple  # three rows of three scalars
-
-    def __post_init__(self):
-        if len(self.entries) != 3 or any(len(row) != 3 for row in self.entries):
-            raise ValueError("GramMatrix needs 3 rows of 3 entries")

@@ -26,11 +26,11 @@ Every function here is pure; inputs must share one dimension and backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
     HNum,
+    Record,
     Scalar,
     add,
     conj,
@@ -51,26 +51,19 @@ def _half(u: HNum) -> HNum:
     return scale(_HALF, u)
 
 
-@dataclass(frozen=True, slots=True)
-class PairDecomposition:
+class PairDecomposition(Record):
     """product = anticommutator + commutator, the two parts orthogonal."""
 
-    anticommutator: HNum
-    commutator: HNum
-    product: HNum
+    __slots__ = ("anticommutator", "commutator", "product")
 
 
-@dataclass(frozen=True, slots=True)
-class TripleDecomposition:
+class TripleDecomposition(Record):
     """product = (u1*conj(u2))*u3 = anticommutator + cross + associator.
 
     The three parts are pairwise orthogonal.
     """
 
-    anticommutator: HNum
-    cross: HNum
-    associator: HNum
-    product: HNum
+    __slots__ = ("anticommutator", "cross", "associator", "product")
 
 
 def acomm2(u1: HNum, u2: HNum) -> HNum:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import decomp
@@ -43,6 +42,7 @@ from .core import (
     BINARY64,
     EXACT,
     HNum,
+    Record,
     add,
     basis,
     coeff_str,
@@ -103,75 +103,58 @@ class EvalError(ValueError):
 # Abstract syntax
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    col: int = field(default=0, compare=False)
+class Node(Record):
+    """Base of the syntax tree nodes: `col` is the 1-based source column, kept
+    for error messages and left out of equality and hashing."""
+
+    __slots__ = ()
+    _defaults = {"col": 0}
+    _uncompared = ("col",)
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    col: int = field(default=0, compare=False)
+class Var(Node):
+    __slots__ = ("name", "col")
 
 
-@dataclass(frozen=True)
-class Unit:
-    col: int = field(default=0, compare=False)
+class Num(Node):
+    __slots__ = ("value", "col")
 
 
-@dataclass(frozen=True)
-class Basis:
-    index: int
-    col: int = field(default=0, compare=False)
+class Unit(Node):
+    __slots__ = ("col",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-    col: int = field(default=0, compare=False)
+class Basis(Node):
+    __slots__ = ("index", "col")
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-    col: int = field(default=0, compare=False)
+class Neg(Node):
+    __slots__ = ("operand", "col")
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-    col: int = field(default=0, compare=False)
+class Add(Node):
+    __slots__ = ("left", "right", "col")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-    col: int = field(default=0, compare=False)
+class Sub(Node):
+    __slots__ = ("left", "right", "col")
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple
-    col: int = field(default=0, compare=False)
+class Mul(Node):
+    __slots__ = ("left", "right", "col")
+
+
+class Call(Node):
+    __slots__ = ("func", "args", "col")
 
 
 Expr = Var | Num | Unit | Basis | Neg | Add | Sub | Mul | Call
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
     """Parsed identity: two expressions of equal sort plus their free variables."""
 
-    text: str
-    lhs: Expr
-    rhs: Expr
-    free_vars: tuple
-    sort: str
+    __slots__ = ("text", "lhs", "rhs", "free_vars", "sort")
 
 
 # ---------------------------------------------------------------------------
@@ -511,25 +494,17 @@ def evaluate(expr: Expr, env: dict, dim: int, backend: str = EXACT):
 # Identity checking
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one identity check.
 
     On the exact backend a PASS means no counterexample was found over the
     sample; max_deviation is 0 there.  `witness` holds the variable assignment
-    of the first failing trial, if any.
+    of the first failing trial, if any; `message` the parse error, if any.
     """
 
-    identity: str
-    dim: int
-    backend: str
-    trials: int
-    failures: int
-    max_deviation: object
-    witness: dict | None
-    status: str
-    seed: int
-    message: str = ""
+    __slots__ = ("identity", "dim", "backend", "trials", "failures", "max_deviation",
+                 "witness", "status", "seed", "message")
+    _defaults = {"message": ""}
 
 
 def _deviation(left, right):

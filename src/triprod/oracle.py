@@ -16,9 +16,7 @@ Also hosts the 3x3 Gram matrix helpers used by the squared-length formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import DIMS, GramMatrix, HNum, Scalar, coerce_scalar, imaginary_part, inner
+from .core import DIMS, HNum, Record, Scalar, coerce_scalar, imaginary_part, inner
 
 
 def _basis_product(dim: int, i: int, j: int):
@@ -47,12 +45,10 @@ def _basis_product(dim: int, i: int, j: int):
     return (-s if jp == 0 else s, k)
 
 
-@dataclass(frozen=True, slots=True)
-class StructureTable:
+class StructureTable(Record):
     """Signed basis-product table: entries[i][j] = (sign, k) for e_i*e_j = sign*e_k."""
 
-    dim: int
-    entries: tuple
+    __slots__ = ("dim", "entries")
 
 
 def build_table(dim: int) -> StructureTable:
@@ -102,6 +98,16 @@ def format_table(table: StructureTable) -> str:
             cells.append(f"{mark}e{k}".rjust(width))
         lines.append(f" {names[i].rjust(width)} | " + " ".join(cells))
     return "\n".join(lines)
+
+
+class GramMatrix(Record):
+    """Symmetric 3x3 matrix of pairwise inner products."""
+
+    __slots__ = ("entries",)  # three rows of three scalars
+
+    def _check(self):
+        if len(self.entries) != 3 or any(len(row) != 3 for row in self.entries):
+            raise ValueError("GramMatrix needs 3 rows of 3 entries")
 
 
 def gram(u1: HNum, u2: HNum, u3: HNum) -> GramMatrix:

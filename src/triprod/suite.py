@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from importlib import resources
+import pkgutil
 
 # Facts that only hold in associative dimensions; appended to the suite when
 # dim <= 4 so a quaternion run reports the stronger statements directly.
@@ -12,19 +12,27 @@ ASSOCIATIVE_EXTRAS = (
 )
 
 
-def strip_lines(text: str) -> list[str]:
-    """Identity lines from file text: one per line, '#' comments, blanks skipped."""
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, identity) for each identity line of file text:
+    one per line, '#' comments and blank lines skipped."""
     lines = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            lines.append(line)
+            lines.append((lineno, line))
     return lines
+
+
+def strip_lines(text: str) -> list[str]:
+    """The identity lines of file text, without their line numbers."""
+    return [line for _, line in numbered_lines(text)]
 
 
 def builtin_lines(dim: int = 8) -> list[str]:
     """All built-in identities, plus the associative extras when dim <= 4."""
-    text = resources.files("triprod").joinpath("data/suite.txt").read_text("utf-8")
+    # pkgutil rather than importlib.resources: from Python 3.12 on the latter
+    # imports `inspect`, which start-up no longer pays for anywhere else.
+    text = pkgutil.get_data(__package__, "data/suite.txt").decode("utf-8")
     lines = strip_lines(text)
     if dim <= 4:
         lines.extend(ASSOCIATIVE_EXTRAS)

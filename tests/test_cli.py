@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from triprod.suite import builtin_lines
+from triprod.suite import builtin_lines, numbered_lines, strip_lines
 
 BASE = [sys.executable, "-m", "triprod"]
 FAST = ["--trials", "120"]
@@ -104,10 +104,32 @@ def test_decompose_binary64_parts_are_pinned():
     assert parts.splitlines()[-1].startswith("associator     = ")
     digest = hashlib.sha256(parts.encode("utf-8")).hexdigest()
     assert digest == "16cbd159b522945343b4bcd159abc9e971353be355b1e9bfbe2ff40469ea8fef"
+    # The whole report, inner products and squared lengths included, as
+    # Python 3.11 printed it: sums of products are added left to right, never
+    # with the compensated float `sum()` of Python 3.12 and later.
+    whole = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert whole == "384428eceed75a2afffb30549c9d93331f84e6dfcd63593217396c5a85b9e055"
 
 
 def _one_error_line(stderr: str) -> bool:
     return stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_decompose_result_too_long_to_print(fmt):
+    result = run_cli("decompose", "--dim", "2", "--format", fmt, "1e5000,0", "1,0", "1,0")
+    assert result.returncode == 3
+    assert _one_error_line(result.stderr)
+    assert "digits" in result.stderr
+    assert result.stdout == ""
+
+
+def test_numbered_lines_skip_comments_and_blanks():
+    text = "u1 == u1  # first\n\n# only a comment\n  i0*u1 == u1\n"
+    assert numbered_lines(text) == [(1, "u1 == u1"), (4, "i0*u1 == u1")]
+    assert strip_lines(text) == ["u1 == u1", "i0*u1 == u1"]
 
 
 def test_tolerance_rejected_on_exact_backend():

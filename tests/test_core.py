@@ -242,3 +242,12 @@ def test_binary64_identities_within_tolerance():
 def test_allclose_rejects_mismatched_operands():
     with pytest.raises(ValueError):
         allclose(unit(4, BINARY64), unit(8, BINARY64))
+
+
+def test_binary64_sums_run_left_to_right():
+    # A compensated sum, as the built-in sum() is from Python 3.12 on, would
+    # give 1.0 and 1e16 + 4: the results must not depend on the version.
+    a = hnum([1e16, 1.0, -1e16, 0.0], BINARY64)
+    b = hnum([1.0, 1.0, 1.0, 0.0], BINARY64)
+    assert inner(a, b) == 0.0
+    assert norm_sq(hnum([1e8, 1.0, 1.0, 1.0], BINARY64)) == 1e16
