@@ -9,15 +9,18 @@ Commands:
 Exit codes: 0 all checks passed, 1 at least one identity failed, 2 I/O error
 (a missing file, or the reader closing stdout early, which exits quietly),
 3 malformed input (bad coefficients, parse errors, a file that is not UTF-8,
-inconsistent options).
+inconsistent options, a coefficient range or a `decompose` result beyond the
+backend's numbers).
 Output is byte-identical across runs with the same configuration.
+
+What depends on the backend is looked up in its scalar ring, `core.BACKENDS`,
+and options are checked by the library's own rules.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -25,22 +28,22 @@ from fractions import Fraction
 from . import decomp
 from .core import (
     BACKENDS,
-    BINARY64,
     DIMS,
     EXACT,
+    REL_TOL,
     HNum,
     Record,
+    check_options,
     coeff_str,
     coerce_scalar,
     inner,
     norm_sq,
+    scalar_ring,
     scalar_str,
 )
 from .dsl import FAIL, PARSE_ERROR, check_identity, report_json_obj, report_text
 from .oracle import build_table, format_table
 from .suite import builtin_lines, numbered_lines
-
-DEFAULT_TOLERANCE = 1e-9
 
 
 class RunConfig(Record):
@@ -55,18 +58,14 @@ class RunConfig(Record):
         # binary64 default tolerance.
         if self.dim not in DIMS:
             raise ValueError(f"dim must be one of {DIMS}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
+        ring = scalar_ring(self.backend)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.coeff_range < 1:
             raise ValueError("coeff-range must be >= 1")
-        if self.backend == BINARY64 and self.tolerance is None:
-            self.tolerance = DEFAULT_TOLERANCE
-        if self.backend == EXACT and self.tolerance is not None:
-            raise ValueError("--tolerance only applies to the binary64 backend")
-        if self.tolerance is not None and not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"--tolerance must be positive and finite, got {self.tolerance!r}")
+        if ring.needs_tolerance and self.tolerance is None:
+            self.tolerance = REL_TOL
+        check_options(self.backend, self.tolerance, self.coeff_range)
         if self.fmt not in ("text", "json"):
             raise ValueError("format must be text or json")
 
@@ -148,6 +147,9 @@ def run_decompose(cfg: RunConfig, raw1: str, raw2: str, raw3: str, out=None) -> 
     parts = decomp.decompose_triple(u1, u2, u3)
     try:
         text = _render_decomposition(cfg, (u1, u2, u3), parts)
+    except OverflowError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
     except ValueError:
         # str() of an exact integer refuses more than this many digits.
         limit = sys.get_int_max_str_digits()
@@ -159,7 +161,8 @@ def run_decompose(cfg: RunConfig, raw1: str, raw2: str, raw3: str, out=None) -> 
 
 
 def _render_decomposition(cfg: RunConfig, inputs, parts) -> str:
-    """The whole `decompose` report, rendered before any of it is written."""
+    """The whole `decompose` report, rendered before any of it is written;
+    OverflowError if a result is not finite."""
     u1, u2, u3 = inputs
     lengths = (
         norm_sq(parts.anticommutator),
@@ -174,6 +177,11 @@ def _render_decomposition(cfg: RunConfig, inputs, parts) -> str:
         inner(parts.anticommutator, parts.associator),
         inner(parts.cross, parts.associator),
     )
+    finite = BACKENDS[cfg.backend].finite
+    results = (*parts.product.coeffs, *parts.anticommutator.coeffs, *parts.cross.coeffs,
+               *parts.associator.coeffs, *inners, *lengths, length_sum, norm_product)
+    if not all(map(finite, results)):
+        raise OverflowError(f"a result is beyond the {cfg.backend} range and cannot be printed")
     if cfg.fmt == "json":
         obj = {
             "dim": cfg.dim,

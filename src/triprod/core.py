@@ -18,10 +18,12 @@ results are those of the recursion, bit for bit.  `oracle` derives the product
 a second way, from basis indices, and shares no code with this path on purpose;
 their agreement is the differential test of both.
 
-Two scalar backends are supported.  The "exact" backend keeps coefficients as
-rationals (int or Fraction), so identities can be checked with exact equality.
-The "binary64" backend keeps float coefficients; binary64 values must be
-compared with `allclose`, never with `==`.  `scale` by a rational keeps
+Two scalar backends are supported, each a scalar ring in the `BACKENDS`
+table, which holds all that depends on the backend.  The "exact" ring keeps
+coefficients as rationals (int or Fraction), so identities are checked with
+exact equality.  The "binary64" ring keeps float coefficients, compared
+within a tolerance (`allclose`), never with `==`; a deviation that is not
+finite, from an overflow, always differs.  `scale` by a rational keeps
 integer coefficients as ints wherever the product is integral, so halving an
 even sum builds no Fraction.
 
@@ -39,14 +41,13 @@ generated once per class.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import reduce
 from operator import add as _add, mul as _mul
-from typing import Union
 
 EXACT = "exact"
 BINARY64 = "binary64"
-BACKENDS = (EXACT, BINARY64)
 
 DIMS = (1, 2, 4, 8)
 
@@ -55,7 +56,7 @@ DIMS = (1, 2, 4, 8)
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
-Scalar = Union[int, Fraction, float]
+Scalar = int | Fraction | float
 
 
 def _canon(x):
@@ -69,21 +70,98 @@ def _canon(x):
     return x
 
 
+class _Exact:
+    """Rationals, int or Fraction: two sides are equal or they differ."""
+
+    zero = 0
+    one = 1
+    needs_tolerance = False
+
+    @staticmethod
+    def coerce(value) -> Scalar:
+        if isinstance(value, float):
+            raise TypeError("float coefficient not allowed on the exact backend")
+        return _canon(value if isinstance(value, (int, Fraction)) else Fraction(value))
+
+    from_ints = tuple
+
+    @staticmethod
+    def finite(x) -> bool:
+        return True
+
+    @staticmethod
+    def differs(dev, tolerance, inputs) -> bool:
+        return dev != 0
+
+
+class _Binary64:
+    """IEEE 754 doubles: two sides differ beyond a tolerance relative to the
+    largest input magnitude, or by a deviation that is not finite."""
+
+    zero = 0.0
+    one = 1.0
+    needs_tolerance = True
+
+    @staticmethod
+    def coerce(value) -> float:
+        if isinstance(value, str):
+            value = Fraction(value)
+        return float(value)
+
+    @staticmethod
+    def from_ints(ints) -> tuple:
+        return tuple(map(float, ints))
+
+    finite = math.isfinite
+
+    @staticmethod
+    def differs(dev, tolerance, inputs) -> bool:
+        # An overflowed trial has an infinite or NaN deviation; NaN compares
+        # false with everything, so `dev > bound` alone would pass it.
+        if not math.isfinite(dev):
+            return True
+        scale = max((abs(c) for u in inputs for c in u.coeffs), default=0.0)
+        return dev > max(ABS_TOL, tolerance * scale)
+
+
+# Backend name -> scalar ring (a class used as a namespace).  `differs` says
+# whether a trial whose sides are `dev` apart, on HNum `inputs`, fails.
+BACKENDS = {EXACT: _Exact, BINARY64: _Binary64}
+
+
+def scalar_ring(backend: str):
+    """The ring of `backend` in `BACKENDS`; ValueError for an unknown name."""
+    try:
+        return BACKENDS[backend]
+    except KeyError:
+        raise ValueError(f"unknown backend {backend!r}") from None
+
+
+def check_options(backend: str, tolerance, coeff_range: int = 0) -> None:
+    """The rule every check's options follow, ValueError where they break it:
+    samples up to `coeff_range` must be scalars of `backend`, and a backend
+    that compares within a tolerance needs a positive, finite one."""
+    ring = scalar_ring(backend)
+    try:
+        ring.coerce(coeff_range)
+    except OverflowError:
+        raise ValueError(f"coefficient range is too large for the {backend} backend") from None
+    if not ring.needs_tolerance:
+        if tolerance is not None:
+            raise ValueError(f"a tolerance applies only to {BINARY64}, not to {backend}")
+    elif tolerance is None:
+        raise ValueError(f"{backend} checks require a tolerance")
+    elif not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
+
+
 def coerce_scalar(value, backend: str) -> Scalar:
     """Convert `value` (int, Fraction, or string like "-3/4") to a backend scalar.
 
     Floats are accepted only on the binary64 backend; silently turning a float
     into an "exact" rational hides rounding that already happened.
     """
-    if backend == EXACT:
-        if isinstance(value, float):
-            raise TypeError("float coefficient not allowed on the exact backend")
-        return _canon(value if isinstance(value, (int, Fraction)) else Fraction(value))
-    if backend == BINARY64:
-        if isinstance(value, str):
-            value = Fraction(value)
-        return float(value)
-    raise ValueError(f"unknown backend {backend!r}")
+    return scalar_ring(backend).coerce(value)
 
 
 def scalar_str(x: Scalar) -> str:
@@ -219,8 +297,7 @@ def hnum(values, backend: str = EXACT) -> HNum:
 
 
 def zero(dim: int, backend: str = EXACT) -> HNum:
-    z = coerce_scalar(0, backend)
-    return HNum(dim, (z,) * dim, backend)
+    return HNum(dim, (scalar_ring(backend).zero,) * dim, backend)
 
 
 def unit(dim: int, backend: str = EXACT) -> HNum:
@@ -234,9 +311,9 @@ def basis(dim: int, k: int, backend: str = EXACT) -> HNum:
         raise ValueError(f"dimension must be one of {DIMS}, got {dim}")
     if not 0 <= k < dim:
         raise ValueError(f"basis index {k} out of range for dimension {dim}")
-    one = coerce_scalar(1, backend)
-    z = coerce_scalar(0, backend)
-    return HNum(dim, tuple(one if i == k else z for i in range(dim)), backend)
+    ring = scalar_ring(backend)
+    z = ring.zero
+    return HNum(dim, (z,) * k + (ring.one,) + (z,) * (dim - 1 - k), backend)
 
 
 def embed(u: HNum, dim: int) -> HNum:
@@ -245,7 +322,7 @@ def embed(u: HNum, dim: int) -> HNum:
         raise ValueError(f"cannot embed dimension {u.dim} into {dim}")
     if dim == u.dim:
         return u
-    z = coerce_scalar(0, u.backend)
+    z = BACKENDS[u.backend].zero
     return _hnum(dim, u.coeffs + (z,) * (dim - u.dim), u.backend)
 
 
@@ -277,7 +354,7 @@ def _ratio(p: int, d: int):
 
 
 def scale(s, u: HNum) -> HNum:
-    s = coerce_scalar(s, u.backend)
+    s = BACKENDS[u.backend].coerce(s)
     xs = u.coeffs
     if type(s) is Fraction and all(type(x) is int for x in xs):
         # A rational times integers, as the halvings in `decomp` and the
@@ -413,7 +490,7 @@ def norm_sq(u: HNum) -> Scalar:
 
 def imaginary_part(u: HNum) -> HNum:
     """u with its unit coefficient zeroed."""
-    return _hnum(u.dim, (coerce_scalar(0, u.backend),) + u.coeffs[1:], u.backend)
+    return _hnum(u.dim, (BACKENDS[u.backend].zero,) + u.coeffs[1:], u.backend)
 
 
 def real_coeff(u: HNum) -> Scalar:

@@ -25,9 +25,11 @@ with a column number.
 Checking an identity compiles each side once into closures, with every
 operation chosen by sort, then calls them on each sample.  Samples give each
 free variable integer coefficients from a seeded generator, the values
-`Random.randint` would draw in the same order, and the two sides are compared
-exactly on the exact backend, within a tolerance on binary64.  A PASS is a
-property-check verdict ("no counterexample found"), not a proof.
+`Random.randint` would draw in the same order, made into backend scalars by
+the backend's ring (`core.BACKENDS`).  The ring also decides whether the two
+sides of a trial differ: exactly on the exact backend, beyond the tolerance
+or not finite on binary64.  A PASS is a property-check verdict ("no
+counterexample found"), not a proof.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ from fractions import Fraction
 
 from . import decomp
 from .core import (
-    ABS_TOL,
-    BINARY64,
+    BACKENDS,
     EXACT,
     HNum,
     Record,
     add,
     basis,
+    check_options,
     coeff_str,
     coerce_scalar,
     conj,
@@ -508,43 +510,37 @@ class CheckReport(Record):
 
 
 def _deviation(left, right):
-    """Largest absolute coefficient difference between two same-sort values."""
-    if isinstance(left, HNum):
-        return max(abs(x - y) for x, y in zip(left.coeffs, right.coeffs))
-    return abs(left - right)
+    """Largest absolute coefficient difference between two same-sort values.
 
-
-def _input_scale(env: dict) -> float:
-    mags = [abs(c) for u in env.values() for c in u.coeffs]
-    return max(mags, default=0.0)
-
-
-def _parse_error_report(text, dim, backend, seed, err: ParseError) -> CheckReport:
-    return CheckReport(
-        identity=text, dim=dim, backend=backend, trials=0, failures=0,
-        max_deviation=0, witness=None, status=PARSE_ERROR, seed=seed,
-        message=str(err),
-    )
+    A NaN difference is the result wherever it occurs; `max` would keep it
+    only in first place.
+    """
+    if not isinstance(left, HNum):
+        return abs(left - right)
+    worst = 0
+    for x, y in zip(left.coeffs, right.coeffs):
+        d = abs(x - y)
+        if not d <= worst:  # larger, or NaN
+            if d != d:
+                return d
+            worst = d
+    return worst
 
 
 def _run_check(identity: Identity, envs, dim, backend, tolerance, seed) -> CheckReport:
+    ring = BACKENDS[backend]
     lhs = _compile(identity.lhs, dim, backend)[0]
     rhs = _compile(identity.rhs, dim, backend)[0]
     trials = 0
     failures = 0
-    max_dev = coerce_scalar(0, backend)
+    max_dev = ring.zero
     witness = None
     for env in envs:
         trials += 1
         dev = _deviation(lhs(env), rhs(env))
-        if dev > max_dev:
+        if not dev <= max_dev and max_dev == max_dev:  # a NaN, once in, stays
             max_dev = dev
-        if backend == EXACT:
-            failed = dev != 0
-        else:
-            bound = max(ABS_TOL, tolerance * _input_scale(env))
-            failed = dev > bound
-        if failed:
+        if ring.differs(dev, tolerance, env.values()):
             failures += 1
             if witness is None:
                 witness = dict(env)
@@ -556,17 +552,27 @@ def _run_check(identity: Identity, envs, dim, backend, tolerance, seed) -> Check
     )
 
 
-def _validate(identity: Identity, dim: int, backend: str, tolerance):
-    if backend == BINARY64 and tolerance is None:
-        raise ValueError("binary64 checks require a tolerance")
-    if backend == EXACT and tolerance is not None:
-        raise ValueError("tolerance is meaningless on the exact backend")
-    for node in itertools.chain(_walk(identity.lhs), _walk(identity.rhs)):
-        if isinstance(node, Basis) and node.index >= dim:
-            raise ParseError(
-                f"basis element e{node.index} does not exist at dimension {dim}",
-                node.col,
-            )
+def _prepare(identity, dim: int, backend: str, tolerance, seed, coeff_range: int = 0):
+    """`(identity, None)`, parsed if it was text, or `(None, report)` with a
+    PARSE_ERROR report; ValueError for options the backend does not take."""
+    text = identity if isinstance(identity, str) else identity.text
+    try:
+        if isinstance(identity, str):
+            identity = parse(identity)
+        check_options(backend, tolerance, coeff_range)
+        for node in itertools.chain(_walk(identity.lhs), _walk(identity.rhs)):
+            if isinstance(node, Basis) and node.index >= dim:
+                raise ParseError(
+                    f"basis element e{node.index} does not exist at dimension {dim}",
+                    node.col,
+                )
+    except ParseError as err:
+        return None, CheckReport(
+            identity=text, dim=dim, backend=backend, trials=0, failures=0,
+            max_deviation=0, witness=None, status=PARSE_ERROR, seed=seed,
+            message=str(err),
+        )
+    return identity, None
 
 
 def _sampler(rng: random.Random, bound: int):
@@ -601,34 +607,24 @@ def check_identity(identity, dim: int = 8, backend: str = EXACT, trials: int = 1
     Deterministic: identical (identity, dim, backend, trials, seed,
     coeff_range) inputs produce identical reports.  `identity` may be an
     Identity or a source string; parse failures yield a PARSE_ERROR report
-    rather than raising.
+    rather than raising.  ValueError if `coeff_range` is beyond what the
+    backend's scalars hold.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if coeff_range < 0:
         raise ValueError("coeff_range must be >= 0")
-    if isinstance(identity, str):
-        try:
-            identity = parse(identity)
-        except ParseError as err:
-            return _parse_error_report(identity, dim, backend, seed, err)
-    try:
-        _validate(identity, dim, backend, tolerance)
-    except ParseError as err:
-        return _parse_error_report(identity.text, dim, backend, seed, err)
+    identity, report = _prepare(identity, dim, backend, tolerance, seed, coeff_range)
+    if report is not None:
+        return report
 
     draw = _sampler(random.Random(seed), coeff_range)
     names = identity.free_vars
-    exact = backend == EXACT
+    from_ints = BACKENDS[backend].from_ints
 
     def envs():
         for _ in range(trials):
-            env = {}
-            for name in names:
-                coeffs = draw(dim)
-                env[name] = HNum(dim, tuple(coeffs) if exact else tuple(map(float, coeffs)),
-                                 backend)
-            yield env
+            yield {name: HNum(dim, from_ints(draw(dim)), backend) for name in names}
 
     return _run_check(identity, envs(), dim, backend, tolerance, seed)
 
@@ -641,16 +637,9 @@ def check_identity_basis(identity, dim: int = 8, backend: str = EXACT,
     For low-degree polynomial identities this complements the randomized
     check; `seed` is only recorded in the report.
     """
-    if isinstance(identity, str):
-        try:
-            identity = parse(identity)
-        except ParseError as err:
-            return _parse_error_report(identity, dim, backend, seed, err)
-    try:
-        _validate(identity, dim, backend, tolerance)
-    except ParseError as err:
-        return _parse_error_report(identity.text, dim, backend, seed, err)
-
+    identity, report = _prepare(identity, dim, backend, tolerance, seed)
+    if report is not None:
+        return report
     names = identity.free_vars
 
     def envs():

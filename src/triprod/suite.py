@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import pkgutil
+import os
 
 # Facts that only hold in associative dimensions; appended to the suite when
 # dim <= 4 so a quaternion run reports the stronger statements directly.
@@ -30,9 +30,11 @@ def strip_lines(text: str) -> list[str]:
 
 def builtin_lines(dim: int = 8) -> list[str]:
     """All built-in identities, plus the associative extras when dim <= 4."""
-    # pkgutil rather than importlib.resources: from Python 3.12 on the latter
-    # imports `inspect`, which start-up no longer pays for anywhere else.
-    text = pkgutil.get_data(__package__, "data/suite.txt").decode("utf-8")
+    # The module's own loader, as pkgutil.get_data does, without importing
+    # pkgutil (which loads `typing`) or importlib.resources (which loads
+    # `inspect` from Python 3.12 on).
+    path = os.path.join(os.path.dirname(__file__), "data", "suite.txt")
+    text = __loader__.get_data(path).decode("utf-8")
     lines = strip_lines(text)
     if dim <= 4:
         lines.extend(ASSOCIATIVE_EXTRAS)

@@ -126,6 +126,37 @@ def test_decompose_result_too_long_to_print(fmt):
     assert result.stdout == ""
 
 
+def test_decompose_binary64_result_beyond_range():
+    # 1e308**3 overflows: the parts would print as inf and nan.
+    result = run_cli("decompose", "--backend", "binary64", "--dim", "1", "1e308", "1e308", "1e308")
+    assert result.returncode == 3
+    assert _one_error_line(result.stderr)
+    assert "binary64 range" in result.stderr
+    assert result.stdout == ""
+
+
+def test_check_binary64_overflow_is_a_failure(tmp_path):
+    # Coefficients near 1e200 overflow every product to inf, and inf - inf
+    # to NaN; both lines are false at dim 8 and must never PASS.
+    path = tmp_path / "overflow.ids"
+    path.write_text("(u1*u2)*u3 == u1*(u2*u3)\nu1*u2 == u2*u1\n")
+    result = run_cli("check", str(path), "--backend", "binary64", "--trials", "5",
+                     "--coeff-range", str(10**200))
+    assert result.returncode == 1
+    lines = result.stdout.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert "FAIL" in line
+        assert "max_deviation=nan" in line or "max_deviation=inf" in line
+
+
+def test_coeff_range_beyond_binary64():
+    result = run_cli("suite", "--backend", "binary64", "--coeff-range", str(10**400))
+    assert result.returncode == 3
+    assert _one_error_line(result.stderr)
+    assert result.stdout == ""
+
+
 def test_numbered_lines_skip_comments_and_blanks():
     text = "u1 == u1  # first\n\n# only a comment\n  i0*u1 == u1\n"
     assert numbered_lines(text) == [(1, "u1 == u1"), (4, "i0*u1 == u1")]

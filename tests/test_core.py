@@ -1,10 +1,13 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
 from conftest import as_binary64, hnums, rand_hnum
+import triprod
 from triprod import (
     BINARY64,
     DIMS,
@@ -251,3 +254,30 @@ def test_binary64_sums_run_left_to_right():
     b = hnum([1.0, 1.0, 1.0, 0.0], BINARY64)
     assert inner(a, b) == 0.0
     assert norm_sq(hnum([1e8, 1.0, 1.0, 1.0], BINARY64)) == 1e16
+
+
+def test_backend_switches_live_only_in_core():
+    # What depends on the backend is looked up in core.BACKENDS; no other
+    # module compares a backend name with == or !=.
+    src = Path(triprod.__file__).parent
+    names = {"EXACT", "BINARY64"}
+    values = {EXACT, BINARY64}
+
+    def is_backend(node):
+        if isinstance(node, ast.Name):
+            return node.id in names
+        if isinstance(node, ast.Attribute):
+            return node.attr in names
+        return isinstance(node, ast.Constant) and node.value in values
+
+    found = []
+    for module in ("dsl", "cli", "decomp", "oracle", "suite"):
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                if isinstance(op, (ast.Eq, ast.NotEq)) and (is_backend(left) or is_backend(right)):
+                    found.append(f"{module}.py:{node.lineno}")
+    assert found == []

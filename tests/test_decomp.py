@@ -1,6 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 
 from conftest import hnums, rand_hnum, rand_tuple
@@ -281,10 +283,19 @@ def test_norm_sq_assoc3_examples():
     assert norm_sq_assoc3(E[1], E[2], E[4]) == 1
 
 
-def test_norm_closed_forms_match_definitional_norms():
+def _norm_test_triples(kind: str, dim: int):
+    if kind == "basis":
+        return itertools.product([basis(dim, k) for k in range(dim)], repeat=3)
     rng = random.Random(16)
-    for _ in range(1000):
-        u1, u2, u3 = rand_tuple(rng, 3, 8)
+    return (rand_tuple(rng, 3, dim) for _ in range(1000))
+
+
+@pytest.mark.parametrize("kind, dim", [
+    ("random", 8), ("random", 4), ("random", 2), ("random", 1),
+    ("basis", 8), ("basis", 4), ("basis", 2), ("basis", 1),
+])
+def test_norm_closed_forms_match_definitional_norms(kind, dim):
+    for u1, u2, u3 in _norm_test_triples(kind, dim):
         assert norm_sq_acomm3(u1, u2, u3) == norm_sq(acomm3(u1, u2, u3))
         assert norm_sq_cross3(u1, u2, u3) == norm_sq(cross3(u1, u2, u3))
         assert norm_sq_assoc3(u1, u2, u3) == norm_sq(assoc3(u1, u2, u3))

@@ -20,6 +20,7 @@ from triprod import (
     cross2,
     cross3,
     evaluate,
+    hnum,
     imaginary_part,
     inner,
     norm_sq,
@@ -37,6 +38,8 @@ from triprod.dsl import (
     Sub,
     Unit,
     Var,
+    _deviation,
+    _run_check,
     report_json_obj,
 )
 from triprod.suite import builtin_lines
@@ -342,6 +345,8 @@ def test_check_binary64_requires_tolerance():
         check_identity(DECOMPOSITION_LINE, dim=8, backend=BINARY64, trials=10)
     with pytest.raises(ValueError, match="exact"):
         check_identity(DECOMPOSITION_LINE, dim=8, backend=EXACT, trials=10, tolerance=1e-9)
+    with pytest.raises(ValueError, match="positive and finite"):
+        check_identity(DECOMPOSITION_LINE, dim=8, backend=BINARY64, trials=10, tolerance=0)
 
 
 def test_check_binary64_reports_deviation():
@@ -351,6 +356,34 @@ def test_check_binary64_reports_deviation():
     )
     assert report.status == "PASS"
     assert isinstance(report.max_deviation, float)
+
+
+def test_check_binary64_overflow_never_passes():
+    # At dim 2 the product commutes, but coefficients near 1e200 overflow it.
+    report = check_identity("u1*u2 == u2*u1", dim=2, backend=BINARY64, trials=5,
+                            coeff_range=10**200, tolerance=1e-9)
+    assert report.status == "FAIL"
+    assert report.failures == 5
+    assert not report.max_deviation < float("inf")
+
+
+def test_deviation_keeps_a_nan_in_any_place():
+    nan = float("nan")
+    a = hnum([0.0, 1.0, nan, 2.0], BINARY64)
+    b = hnum([0.0, 0.0, 0.0, 0.0], BINARY64)
+    assert _deviation(a, b) != _deviation(a, b)
+    assert _deviation(hnum([0.0, 5.0], BINARY64), hnum([1.0, 2.0], BINARY64)) == 3.0
+    # Only the first trial overflows (inf - inf); later, finite ones keep its NaN.
+    envs = [{"u1": hnum([x], BINARY64)} for x in (1e300, 1.0, 3.0)]
+    report = _run_check(parse("u1*u1 == u1*u1 + u1 - u1"), envs, 1, BINARY64, 1e-9, 0)
+    assert report.failures == 1
+    assert report.max_deviation != report.max_deviation
+
+
+def test_check_rejects_coeff_range_beyond_binary64():
+    with pytest.raises(ValueError, match="too large"):
+        check_identity("u1 == u1", backend=BINARY64, tolerance=1e-9, coeff_range=10**400)
+    assert check_identity("u1 == u1", dim=2, trials=3, coeff_range=10**400).status == "PASS"
 
 
 def test_check_parse_error_status():

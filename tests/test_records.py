@@ -18,6 +18,7 @@ from triprod import (
     BINARY64,
     DIMS,
     EXACT,
+    REL_TOL,
     CheckReport,
     GramMatrix,
     HNum,
@@ -36,14 +37,15 @@ from triprod import (
     scale,
     sub,
 )
-from triprod.cli import DEFAULT_TOLERANCE, RunConfig
+from triprod.cli import RunConfig
 from triprod.dsl import Add, Basis, Call, Mul, Neg, Num, Sub, Unit, Var
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     src = Path(triprod.__file__).resolve().parents[1]
     code = ("import sys, triprod, triprod.cli; "
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', 'pkgutil') "
+            "if m in sys.modules))")
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)})
     assert result.returncode == 0, result.stderr
@@ -138,7 +140,7 @@ def test_gram_matrix_and_run_config_validate():
         GramMatrix(((1, 0), (0, 1)))
     with pytest.raises(ValueError, match="trials"):
         RunConfig("suite", trials=0)
-    assert RunConfig("suite", backend=BINARY64).tolerance == DEFAULT_TOLERANCE
+    assert RunConfig("suite", backend=BINARY64).tolerance == REL_TOL
 
 
 def test_reprs_are_unchanged():
