@@ -23,9 +23,10 @@ table, which holds all that depends on the backend.  The "exact" ring keeps
 coefficients as rationals (int or Fraction), so identities are checked with
 exact equality.  The "binary64" ring keeps float coefficients, compared
 within a tolerance (`allclose`), never with `==`; a deviation that is not
-finite, from an overflow, always differs.  `scale` by a rational keeps
-integer coefficients as ints wherever the product is integral, so halving an
-even sum builds no Fraction.
+finite, from an overflow, always differs.  The exact ring's `scale`, which
+`scale` and the DSL's generated functions call, keeps integer coefficients
+as ints wherever the product by a rational is integral, so halving an even
+sum builds no Fraction.
 
 Values are immutable and every operation is a pure function.  `HNum(dim,
 coeffs, backend)` validates its arguments; the results that `add`, `sub`,
@@ -86,6 +87,22 @@ class _Exact:
     from_ints = tuple
 
     @staticmethod
+    def scale(s, xs) -> tuple:
+        # A rational times integers, as the halvings in `decomp` and the
+        # suite's 1/2*(...) are: integral products never become Fractions.
+        # An integral Fraction `s` (a product of scalars can be one) acts as
+        # the int that `coerce` makes of it.
+        if type(s) is Fraction:
+            n, d = s.numerator, s.denominator
+            if d != 1:
+                if all(type(x) is int for x in xs):
+                    return tuple([p // d if not p % d else Fraction(p, d)
+                                  for p in [n * x for x in xs]])
+                return tuple([_canon(s * x) for x in xs])
+            s = n
+        return tuple([p if type(p) is int else _canon(p) for p in [s * x for x in xs]])
+
+    @staticmethod
     def finite(x) -> bool:
         return True
 
@@ -112,6 +129,10 @@ class _Binary64:
     def from_ints(ints) -> tuple:
         return tuple(map(float, ints))
 
+    @staticmethod
+    def scale(s, xs) -> tuple:
+        return tuple([s * x for x in xs])
+
     finite = math.isfinite
 
     @staticmethod
@@ -120,12 +141,15 @@ class _Binary64:
         # false with everything, so `dev > bound` alone would pass it.
         if not math.isfinite(dev):
             return True
-        scale = max((abs(c) for u in inputs for c in u.coeffs), default=0.0)
+        if dev <= ABS_TOL:  # within the bound's floor, whatever the inputs
+            return False
+        scale = max((abs(c) for u in inputs for c in u), default=0.0)
         return dev > max(ABS_TOL, tolerance * scale)
 
 
-# Backend name -> scalar ring (a class used as a namespace).  `differs` says
-# whether a trial whose sides are `dev` apart, on HNum `inputs`, fails.
+# Backend name -> scalar ring (a class used as a namespace).  `scale(s, xs)`
+# multiplies coefficients `xs` by the ring scalar `s`; `differs` says whether
+# a trial whose sides are `dev` apart, on coefficient tuples `inputs`, fails.
 BACKENDS = {EXACT: _Exact, BINARY64: _Binary64}
 
 
@@ -347,21 +371,9 @@ def negate(u: HNum) -> HNum:
     return _hnum(u.dim, tuple(-x for x in u.coeffs), u.backend)
 
 
-def _ratio(p: int, d: int):
-    """p/d as an int when d divides p, else as a Fraction (the value of `_canon`)."""
-    q, r = divmod(p, d)
-    return Fraction(p, d) if r else q
-
-
 def scale(s, u: HNum) -> HNum:
-    s = BACKENDS[u.backend].coerce(s)
-    xs = u.coeffs
-    if type(s) is Fraction and all(type(x) is int for x in xs):
-        # A rational times integers, as the halvings in `decomp` and the
-        # suite's 1/2*(...) are: integral products never become Fractions.
-        n, d = s.numerator, s.denominator
-        return _hnum(u.dim, tuple(_ratio(n * x, d) for x in xs), u.backend)
-    return _hnum(u.dim, tuple(_canon(s * x) for x in xs), u.backend)
+    ring = BACKENDS[u.backend]
+    return _hnum(u.dim, ring.scale(ring.coerce(s), u.coeffs), u.backend)
 
 
 def _t_conj(t):

@@ -22,9 +22,12 @@ everything else; a scalar may multiply a vector only from the left.  Sort,
 arity and nesting errors (beyond MAX_DEPTH levels) are reported at parse time
 with a column number.
 
-Checking an identity compiles each side once into closures, with every
-operation chosen by sort, then calls them on each sample.  Samples give each
-free variable integer coefficients from a seeded generator, the values
+Checking an identity generates one straight-line function from both sides,
+`f(v0, v1, ...) -> (lhs, rhs)` over coefficient tuples.  Every operation in
+it is chosen by sort and computed once, however often the sides use it, and
+the functions of the language are expanded as `core` and `decomp` compute
+them; `evaluate` runs the same kind of function.  Samples give each free
+variable integer coefficients from a seeded generator, the values
 `Random.randint` would draw in the same order, made into backend scalars by
 the backend's ring (`core.BACKENDS`).  The ring also decides whether the two
 sides of a trial differ: exactly on the exact backend, beyond the tolerance
@@ -38,27 +41,16 @@ import itertools
 import random
 from fractions import Fraction
 
-from . import decomp
 from .core import (
+    _KERNELS,
     BACKENDS,
     EXACT,
     HNum,
     Record,
-    add,
     basis,
     check_options,
     coeff_str,
-    coerce_scalar,
-    conj,
-    imaginary_part,
-    inner,
-    mul,
-    negate,
-    norm_sq,
-    real_coeff,
     scalar_str,
-    scale,
-    sub,
 )
 
 SCALAR = "scalar"
@@ -69,24 +61,10 @@ FAIL = "FAIL"
 PARSE_ERROR = "PARSE_ERROR"
 
 # Deepest accepted nesting, and deepest expression tree.  Parsing, sort
-# checking, rendering and the compiled closures each recurse a few frames per
-# level, so this keeps all of them far below Python's recursion limit.
+# checking, rendering and generating an identity's function each recurse a
+# few frames per level, so this keeps all of them far below Python's recursion
+# limit; the generated function itself is straight-line code.
 MAX_DEPTH = 100
-
-# name -> (arity, result sort, implementation)
-FUNCTIONS = {
-    "conj": (1, VECTOR, conj),
-    "im": (1, VECTOR, imaginary_part),
-    "re": (1, SCALAR, real_coeff),
-    "inner": (2, SCALAR, inner),
-    "normsq": (1, SCALAR, norm_sq),
-    "cross": (2, VECTOR, decomp.cross2),
-    "acomm": (2, VECTOR, decomp.acomm2),
-    "cross3": (3, VECTOR, decomp.cross3),
-    "acomm3": (3, VECTOR, decomp.acomm3),
-    "assoc": (3, VECTOR, decomp.assoc3),
-}
-
 
 class ParseError(ValueError):
     """Syntax, arity or sort error, with a 1-based column number."""
@@ -375,9 +353,9 @@ def _too_deep(col: int) -> ParseError:
     return ParseError(f"expression nested too deeply (more than {MAX_DEPTH} levels)", col)
 
 
-def _free_vars(lhs: Expr, rhs: Expr) -> tuple:
+def _free_vars(*exprs: Expr) -> tuple:
     seen = []
-    for node in itertools.chain(_walk(lhs), _walk(rhs)):
+    for node in itertools.chain.from_iterable(map(_walk, exprs)):
         if isinstance(node, Var) and node.name not in seen:
             seen.append(node.name)
     return tuple(seen)
@@ -423,73 +401,176 @@ def _render(expr: Expr, parent_prec: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: one generated function per identity
 
 
-def _compile(expr: Expr, dim: int, backend: str):
-    """`(closure, sort)`: the closure maps an environment to the value of `expr`.
+class _Gen:
+    """Writes one straight-line function, statement by statement.
 
-    Sorts are fixed by the parse, so whether `*` is a product, a scaling or a
-    scalar product is decided here once, not on every evaluation.  The closures
-    look up `mul`, `scale`, `add`, `sub`, `negate` and the `FUNCTIONS` entries
-    by name when called, as a direct call would.  They nest one call per tree
-    level, which `parse` bounds by MAX_DEPTH.
+    A value is the name of a local or a constant, possibly negated.  A
+    vector's holds its coefficient tuple, and `parts` maps it to the values
+    of its coefficients once they are known.  Each operation is one statement,
+    value-numbered by its source text: an operation already written on the
+    same values is not written again, so whatever the two sides share is
+    computed once.  Products call the dimension's kernel and scalings the
+    ring's `scale`; other vector operations and inner products are unrolled
+    into the same scalar operations, in the same order, as in `core`, so the
+    results are those of `core` bit for bit.  The source names only `v<i>`
+    (the i-th free variable's coefficients), locals `t<n>`, constants `k<n>`
+    and a vector's coefficients `<name>_<i>`: no identity text reaches it.
     """
-    if isinstance(expr, Num):
-        value = coerce_scalar(expr.value, backend)
-        return (lambda env: value), SCALAR
-    if isinstance(expr, Var):
-        name = expr.name
 
-        def var(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise EvalError(f"unbound variable {name!r}") from None
+    def __init__(self, dim: int, backend: str, names):
+        self.dim = dim
+        self.ring = BACKENDS[backend]
+        self.ns = {"_mul": _KERNELS[dim], "_scale": self.ring.scale}
+        self.vars = {name: f"v{i}" for i, name in enumerate(names)}
+        self.parts = dict.fromkeys(self.vars.values())
+        self.memo = {}
+        self.lines = []
 
-        return var, VECTOR
-    if isinstance(expr, (Unit, Basis)):
-        index = expr.index if isinstance(expr, Basis) else 0
-        if index >= dim:
-            raise EvalError(f"basis element e{index} does not exist at dimension {dim}")
-        value = basis(dim, index, backend)
-        return (lambda env: value), VECTOR
-    if isinstance(expr, Neg):
-        f, sort = _compile(expr.operand, dim, backend)
-        if sort == VECTOR:
-            return (lambda env: negate(f(env))), sort
-        return (lambda env: -f(env)), sort
-    if isinstance(expr, (Add, Sub, Mul)):
-        f, ls = _compile(expr.left, dim, backend)
-        g, rs = _compile(expr.right, dim, backend)
+    def let(self, src: str, vector: bool = False) -> str:
+        name = self.memo.get(src)
+        if name is None:
+            name = self.memo[src] = f"t{len(self.lines)}"
+            self.lines.append(f"    {name} = {src}\n")
+            if vector:
+                self.parts[name] = None
+        return name
+
+    def const(self, value) -> str:
+        key = (type(value), value)
+        name = self.memo.get(key)
+        if name is None:
+            name = self.memo[key] = f"k{len(self.ns)}"
+            self.ns[name] = value
+        return name
+
+    def vec(self, elems: list) -> str:
+        name = self.let(f"({', '.join(elems)},)", vector=True)
+        if not any(" " in x for x in elems):  # names, maybe negated: no need to unpack
+            self.parts[name] = elems
+        return name
+
+    def elems(self, v: str) -> list:
+        if self.parts[v] is None:
+            self.parts[v] = [f"{v}_{i}" for i in range(self.dim)]
+            self.lines.append(f"    {', '.join(self.parts[v])}, = {v}\n")
+        return self.parts[v]
+
+    def op(self, sym: str, a: str, b: str) -> str:
+        if a in self.parts:
+            return self.vec([f"{x} {sym} {y}" for x, y in zip(self.elems(a), self.elems(b))])
+        return self.let(f"{a} {sym} {b}")
+
+    def neg(self, a: str) -> str:
+        if a in self.parts:
+            return self.vec([f"-{x}" for x in self.elems(a)])
+        return self.let(f"-{a}")
+
+    def mul(self, a: str, b: str) -> str:
+        if a in self.parts:
+            return self.let(f"_mul({a}, {b})", vector=True)
+        if b in self.parts:
+            return self.let(f"_scale({a}, {b})", vector=True)
+        return self.let(f"{a} * {b}")
+
+    def value(self, expr: Expr) -> str:
+        """The value of `expr`, after writing the statements it needs."""
+        if isinstance(expr, Num):
+            return self.const(self.ring.coerce(expr.value))
+        if isinstance(expr, Var):
+            return self.vars[expr.name]
+        if isinstance(expr, (Unit, Basis)):
+            index = expr.index if isinstance(expr, Basis) else 0
+            if index >= self.dim:
+                raise EvalError(f"basis element e{index} does not exist at dimension {self.dim}")
+            z = self.ring.zero
+            coeffs = (z,) * index + (self.ring.one,) + (z,) * (self.dim - 1 - index)
+            name = self.const(coeffs)
+            self.parts[name] = [self.const(c) for c in coeffs]
+            return name
+        if isinstance(expr, Neg):
+            return self.neg(self.value(expr.operand))
+        if isinstance(expr, Call):
+            args = [self.value(arg) for arg in expr.args]
+            body = FUNCTIONS[expr.func][2]
+            if not isinstance(body, str):
+                return body(self, *args)
+            outer, self.vars = self.vars, dict(zip(("u1", "u2", "u3"), args))
+            value = self.value(_Parser(body).parse_expr())
+            self.vars = outer
+            return value
+        a, b = self.value(expr.left), self.value(expr.right)
         if isinstance(expr, Mul):
-            if ls == VECTOR:
-                return (lambda env: mul(f(env), g(env))), VECTOR
-            if rs == VECTOR:
-                return (lambda env: scale(f(env), g(env))), VECTOR
-            return (lambda env: f(env) * g(env)), SCALAR
-        if isinstance(expr, Add):
-            if ls == VECTOR:
-                return (lambda env: add(f(env), g(env))), ls
-            return (lambda env: f(env) + g(env)), ls
-        if ls == VECTOR:
-            return (lambda env: sub(f(env), g(env))), ls
-        return (lambda env: f(env) - g(env)), ls
-    if isinstance(expr, Call):
-        name = expr.func
-        args = tuple(_compile(a, dim, backend)[0] for a in expr.args)
-        return (lambda env: FUNCTIONS[name][2](*[f(env) for f in args])), FUNCTIONS[name][1]
-    raise TypeError(f"unknown node {expr!r}")
+            return self.mul(a, b)
+        return self.op("+" if isinstance(expr, Add) else "-", a, b)
+
+    # The functions of the language that `core` computes coefficient-wise.
+
+    def conj(self, a):
+        first, *rest = self.elems(a)
+        return self.vec([first, *[f"-{x}" for x in rest]])
+
+    def im(self, a):
+        return self.vec([self.const(self.ring.zero), *self.elems(a)[1:]])
+
+    def re(self, a):
+        return self.elems(a)[0]
+
+    def inner(self, a, b):
+        # Left to right from int 0, as `core.inner`: `+` associates left.
+        terms = [f"{x} * {y}" for x, y in zip(self.elems(a), self.elems(b))]
+        return self.let(" + ".join([self.const(0), *terms]))
+
+
+# name -> (arity, result sort, definition): the generator's method, or the
+# function in the language itself, over arguments u1, u2, u3, operation for
+# operation as `core.norm_sq` and `decomp` compute it.
+FUNCTIONS = {
+    "conj": (1, VECTOR, _Gen.conj),
+    "im": (1, VECTOR, _Gen.im),
+    "re": (1, SCALAR, _Gen.re),
+    "inner": (2, SCALAR, _Gen.inner),
+    "normsq": (1, SCALAR, "inner(u1, u1)"),
+    "cross": (2, VECTOR, "1/2*(u1*u2 - u2*u1)"),
+    "acomm": (2, VECTOR, "1/2*(u1*u2 + u2*u1)"),
+    "cross3": (3, VECTOR, "1/2*((u1*conj(u2))*u3 - u3*(conj(u2)*u1))"),
+    "acomm3": (3, VECTOR, "1/2*((u1*conj(u2))*u3 + (u3*conj(u2))*u1)"),
+    "assoc": (3, VECTOR, "1/2*((u1*conj(u2))*u3 - u1*(conj(u2)*u3))"),
+}
+
+
+def _generate(exprs, names, dim: int, backend: str):
+    """`f(v0, v1, ...)`: the tuple of the values of `exprs`, each a coefficient
+    tuple or a scalar, when `vi` is the coefficient tuple of `names[i]`."""
+    gen = _Gen(dim, backend, names)
+    outs = [gen.value(e) for e in exprs]
+    params = ", ".join(f"v{i}" for i in range(len(names)))
+    src = f"def f({params}):\n{''.join(gen.lines)}    return ({', '.join(outs)},)\n"
+    exec(compile(src, "<triprod identity>", "exec"), gen.ns)
+    return gen.ns["f"]
 
 
 def evaluate(expr: Expr, env: dict, dim: int, backend: str = EXACT):
-    """Evaluate to an HNum or a scalar, by compiling `expr` and calling it once.
+    """Evaluate to an HNum or a scalar, by generating `expr`'s function and
+    calling it once.
 
     Multiplication follows source order; chains are evaluated left to right
     exactly as parsed.  All free variables must be bound in `env` to HNums of
     the requested dimension and backend.
     """
-    return _compile(expr, dim, backend)[0](env)
+    names = _free_vars(expr)
+    args = []
+    for name in names:
+        if name not in env:
+            raise EvalError(f"unbound variable {name!r}")
+        u = env[name]
+        if (u.dim, u.backend) != (dim, backend):
+            raise ValueError(f"{name} is not a dimension {dim} {backend} value")
+        args.append(u.coeffs)
+    (value,) = _generate((expr,), names, dim, backend)(*args)
+    return HNum(dim, value, backend) if isinstance(value, tuple) else value
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +591,16 @@ class CheckReport(Record):
 
 
 def _deviation(left, right):
-    """Largest absolute coefficient difference between two same-sort values.
+    """Largest absolute difference between two same-sort values, coefficient
+    tuples or scalars.
 
     A NaN difference is the result wherever it occurs; `max` would keep it
     only in first place.
     """
-    if not isinstance(left, HNum):
+    if not isinstance(left, tuple):
         return abs(left - right)
     worst = 0
-    for x, y in zip(left.coeffs, right.coeffs):
+    for x, y in zip(left, right):
         d = abs(x - y)
         if not d <= worst:  # larger, or NaN
             if d != d:
@@ -527,23 +609,25 @@ def _deviation(left, right):
     return worst
 
 
-def _run_check(identity: Identity, envs, dim, backend, tolerance, seed) -> CheckReport:
+def _run_check(identity: Identity, samples, dim, backend, tolerance, seed) -> CheckReport:
+    """Check on each sample, a tuple of coefficient tuples in the order of
+    `identity.free_vars`."""
     ring = BACKENDS[backend]
-    lhs = _compile(identity.lhs, dim, backend)[0]
-    rhs = _compile(identity.rhs, dim, backend)[0]
+    sides = _generate((identity.lhs, identity.rhs), identity.free_vars, dim, backend)
+    differs = ring.differs
     trials = 0
     failures = 0
     max_dev = ring.zero
     witness = None
-    for env in envs:
+    for args in samples:
         trials += 1
-        dev = _deviation(lhs(env), rhs(env))
+        dev = _deviation(*sides(*args))
         if not dev <= max_dev and max_dev == max_dev:  # a NaN, once in, stays
             max_dev = dev
-        if ring.differs(dev, tolerance, env.values()):
+        if differs(dev, tolerance, args):
             failures += 1
             if witness is None:
-                witness = dict(env)
+                witness = {name: HNum(dim, a, backend) for name, a in zip(identity.free_vars, args)}
     status = PASS if failures == 0 else FAIL
     return CheckReport(
         identity=identity.text, dim=dim, backend=backend, trials=trials,
@@ -560,12 +644,19 @@ def _prepare(identity, dim: int, backend: str, tolerance, seed, coeff_range: int
         if isinstance(identity, str):
             identity = parse(identity)
         check_options(backend, tolerance, coeff_range)
+        coerce = BACKENDS[backend].coerce
         for node in itertools.chain(_walk(identity.lhs), _walk(identity.rhs)):
             if isinstance(node, Basis) and node.index >= dim:
                 raise ParseError(
                     f"basis element e{node.index} does not exist at dimension {dim}",
                     node.col,
                 )
+            if isinstance(node, Num):
+                try:
+                    coerce(node.value)
+                except OverflowError:
+                    raise ParseError(f"number too large for the {backend} backend",
+                                     node.col) from None
     except ParseError as err:
         return None, CheckReport(
             identity=text, dim=dim, backend=backend, trials=0, failures=0,
@@ -607,26 +698,28 @@ def check_identity(identity, dim: int = 8, backend: str = EXACT, trials: int = 1
     Deterministic: identical (identity, dim, backend, trials, seed,
     coeff_range) inputs produce identical reports.  `identity` may be an
     Identity or a source string; parse failures yield a PARSE_ERROR report
-    rather than raising.  ValueError if `coeff_range` is beyond what the
+    rather than raising.  ValueError if `trials` or `coeff_range` is not an
+    int, `trials` is below 1, or `coeff_range` is negative or beyond what the
     backend's scalars hold.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if coeff_range < 0:
-        raise ValueError("coeff_range must be >= 0")
+    if not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    if not isinstance(coeff_range, int) or coeff_range < 0:
+        raise ValueError(f"coeff_range must be an int >= 0, got {coeff_range!r}")
     identity, report = _prepare(identity, dim, backend, tolerance, seed, coeff_range)
     if report is not None:
         return report
 
     draw = _sampler(random.Random(seed), coeff_range)
-    names = identity.free_vars
+    size = dim * len(identity.free_vars)
     from_ints = BACKENDS[backend].from_ints
 
-    def envs():
+    def samples():
         for _ in range(trials):
-            yield {name: HNum(dim, from_ints(draw(dim)), backend) for name in names}
+            ints = draw(size)
+            yield tuple([from_ints(ints[i:i + dim]) for i in range(0, size, dim)])
 
-    return _run_check(identity, envs(), dim, backend, tolerance, seed)
+    return _run_check(identity, samples(), dim, backend, tolerance, seed)
 
 
 def check_identity_basis(identity, dim: int = 8, backend: str = EXACT,
@@ -640,13 +733,9 @@ def check_identity_basis(identity, dim: int = 8, backend: str = EXACT,
     identity, report = _prepare(identity, dim, backend, tolerance, seed)
     if report is not None:
         return report
-    names = identity.free_vars
-
-    def envs():
-        for combo in itertools.product(range(dim), repeat=len(names)):
-            yield {name: basis(dim, k, backend) for name, k in zip(names, combo)}
-
-    return _run_check(identity, envs(), dim, backend, tolerance, seed)
+    bases = [basis(dim, k, backend).coeffs for k in range(dim)]
+    samples = itertools.product(bases, repeat=len(identity.free_vars))
+    return _run_check(identity, samples, dim, backend, tolerance, seed)
 
 
 # ---------------------------------------------------------------------------

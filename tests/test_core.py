@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +30,7 @@ from triprod import (
     unit,
     zero,
 )
+from triprod.core import ABS_TOL, BACKENDS
 
 
 def test_unit_coefficients():
@@ -254,6 +256,25 @@ def test_binary64_sums_run_left_to_right():
     b = hnum([1.0, 1.0, 1.0, 0.0], BINARY64)
     assert inner(a, b) == 0.0
     assert norm_sq(hnum([1e8, 1.0, 1.0, 1.0], BINARY64)) == 1e16
+
+
+def test_binary64_differs_only_beyond_the_bound():
+    # The bound is max(ABS_TOL, tol * largest input magnitude); a deviation
+    # within ABS_TOL passes whatever the inputs, one that is not finite fails.
+    differs = BACKENDS[BINARY64].differs
+    above = math.nextafter(ABS_TOL, math.inf)
+    small = [(1e-4, -2e-4), (5e-5,)]  # tol * scale = 2e-13, below ABS_TOL
+    large = [(1.0, -2e6), (0.5,)]  # tol * scale = 2e-3, above ABS_TOL
+    assert not differs(ABS_TOL, 1e-9, small)
+    assert not differs(ABS_TOL, 1e-9, large)
+    assert differs(above, 1e-9, small)
+    assert not differs(above, 1e-9, large)
+    assert differs(3e-3, 1e-9, large)
+    assert not differs(1e-3, 1e-9, large)
+    assert differs(above, 1e-9, [])
+    for dev in (math.nan, math.inf):
+        assert differs(dev, 1e-9, small)
+        assert differs(dev, 1e-9, [(1e300,)])
 
 
 def test_backend_switches_live_only_in_core():

@@ -1,14 +1,18 @@
 import json
+import random
 import sys
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import hnums
 from triprod import (
     BINARY64,
+    DIMS,
     EXACT,
+    HNum,
     ParseError,
     acomm2,
     acomm3,
@@ -27,11 +31,15 @@ from triprod import (
     parse,
     pretty,
     real_coeff,
+    scale,
 )
+from triprod import core
 from triprod.dsl import (
+    FUNCTIONS,
     MAX_DEPTH,
     Add,
     Basis,
+    CheckReport,
     EvalError,
     Mul,
     Num,
@@ -190,6 +198,14 @@ def test_evaluate_basis_beyond_dimension():
         evaluate(expr, {}, 4, EXACT)
 
 
+def test_evaluate_rejects_values_of_another_dimension_or_backend():
+    expr = parse("conj(u1) == u1").lhs
+    with pytest.raises(ValueError, match="dimension 8 exact"):
+        evaluate(expr, {"u1": basis(4, 1)}, 8, EXACT)
+    with pytest.raises(ValueError, match="dimension 8 exact"):
+        evaluate(expr, {"u1": basis(8, 1, BINARY64)}, 8, EXACT)
+
+
 def test_evaluate_unbound_variable_inside_a_compound():
     expr = parse("cross3(u1, 2*u2, i0) == u1").lhs
     with pytest.raises(EvalError, match="'u2'"):
@@ -252,9 +268,10 @@ def _stack_depth() -> int:
 
 
 def test_nesting_limit_keeps_recursion_far_below_the_interpreter_limit():
-    # Parsing, sort checking and the compiled closures together may use a
-    # handful of frames per level, no more: 6 * MAX_DEPTH is well under the
-    # default limit of 1000, whatever the caller's own depth.
+    # Parsing, sort checking and generating the identity's function together
+    # may use a handful of frames per level, no more (the generated function
+    # itself is straight-line code): 6 * MAX_DEPTH is well under the default
+    # limit of 1000, whatever the caller's own depth.
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 6 * MAX_DEPTH)
     try:
@@ -283,23 +300,57 @@ def test_evaluate_source_order_multiplication():
     assert left != right
 
 
+# Each entry of FUNCTIONS, and scalar times vector, as the library computes it.
+LIBRARY = {
+    "conj(u1)": lambda u1, u2, u3: conj(u1),
+    "im(u1)": lambda u1, u2, u3: imaginary_part(u1),
+    "re(u1)": lambda u1, u2, u3: real_coeff(u1),
+    "inner(u1,u2)": lambda u1, u2, u3: inner(u1, u2),
+    "normsq(u1)": lambda u1, u2, u3: norm_sq(u1),
+    "acomm(u1,u2)": lambda u1, u2, u3: acomm2(u1, u2),
+    "cross(u1,u2)": lambda u1, u2, u3: cross2(u1, u2),
+    "acomm3(u1,u2,u3)": lambda u1, u2, u3: acomm3(u1, u2, u3),
+    "cross3(u1,u2,u3)": lambda u1, u2, u3: cross3(u1, u2, u3),
+    "assoc(u1,u2,u3)": lambda u1, u2, u3: assoc3(u1, u2, u3),
+    "inner(u1,u2)*u3": lambda u1, u2, u3: scale(inner(u1, u2), u3),
+    "2/3*u1": lambda u1, u2, u3: scale(Fraction(2, 3), u1),
+}
+
+
+def _bits(value):
+    """Type and shortest repr of each coefficient: equal only if bit-identical."""
+    coeffs = value.coeffs if isinstance(value, HNum) else (value,)
+    return [(type(c), repr(c)) for c in coeffs]
+
+
+def _assert_evaluate_matches_library(u1, u2, u3):
+    env = {"u1": u1, "u2": u2, "u3": u3}
+    for text, library in LIBRARY.items():
+        got = evaluate(parse(f"{text} == {text}").lhs, env, u1.dim, u1.backend)
+        assert _bits(got) == _bits(library(u1, u2, u3)), text
+
+
+def test_library_cases_cover_every_function():
+    assert {text.split("(")[0] for text in LIBRARY} >= set(FUNCTIONS)
+
+
 @given(hnums(8), hnums(8), hnums(8))
 def test_evaluate_delegates_to_library(u1, u2, u3):
-    env = {"u1": u1, "u2": u2, "u3": u3}
-    cases = {
-        "conj(u1)": conj(u1),
-        "im(u1)": imaginary_part(u1),
-        "acomm(u1,u2)": acomm2(u1, u2),
-        "cross(u1,u2)": cross2(u1, u2),
-        "acomm3(u1,u2,u3)": acomm3(u1, u2, u3),
-        "cross3(u1,u2,u3)": cross3(u1, u2, u3),
-        "assoc(u1,u2,u3)": assoc3(u1, u2, u3),
-    }
-    for text, expected in cases.items():
-        assert evaluate(parse(f"{text} == i0").lhs, env, 8, EXACT) == expected
-    assert evaluate(parse("re(u1) == 0").lhs, env, 8, EXACT) == real_coeff(u1)
-    assert evaluate(parse("inner(u1,u2) == 0").lhs, env, 8, EXACT) == inner(u1, u2)
-    assert evaluate(parse("normsq(u1) == 0").lhs, env, 8, EXACT) == norm_sq(u1)
+    _assert_evaluate_matches_library(u1, u2, u3)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_evaluate_matches_library_bit_for_bit_on_binary64(dim):
+    # Uniformly drawn mantissas round at almost every operation, so a
+    # reordered sum or a product computed another way shows here.
+    rng = random.Random(dim)
+
+    def value():
+        return hnum([rng.uniform(-1, 1) * 10.0 ** rng.randint(-30, 30) for _ in range(dim)],
+                    BINARY64)
+
+    for _ in range(50):
+        _assert_evaluate_matches_library(value(), value(), value())
 
 
 # --- checking ----------------------------------------------------------------
@@ -369,13 +420,13 @@ def test_check_binary64_overflow_never_passes():
 
 def test_deviation_keeps_a_nan_in_any_place():
     nan = float("nan")
-    a = hnum([0.0, 1.0, nan, 2.0], BINARY64)
-    b = hnum([0.0, 0.0, 0.0, 0.0], BINARY64)
+    a = (0.0, 1.0, nan, 2.0)
+    b = (0.0, 0.0, 0.0, 0.0)
     assert _deviation(a, b) != _deviation(a, b)
-    assert _deviation(hnum([0.0, 5.0], BINARY64), hnum([1.0, 2.0], BINARY64)) == 3.0
+    assert _deviation((0.0, 5.0), (1.0, 2.0)) == 3.0
     # Only the first trial overflows (inf - inf); later, finite ones keep its NaN.
-    envs = [{"u1": hnum([x], BINARY64)} for x in (1e300, 1.0, 3.0)]
-    report = _run_check(parse("u1*u1 == u1*u1 + u1 - u1"), envs, 1, BINARY64, 1e-9, 0)
+    samples = [((x,),) for x in (1e300, 1.0, 3.0)]
+    report = _run_check(parse("u1*u1 == u1*u1 + u1 - u1"), samples, 1, BINARY64, 1e-9, 0)
     assert report.failures == 1
     assert report.max_deviation != report.max_deviation
 
@@ -408,6 +459,65 @@ def test_check_scalar_identity():
 def test_check_identity_rejects_bad_trials():
     with pytest.raises(ValueError):
         check_identity(DECOMPOSITION_LINE, trials=0)
+
+
+@pytest.mark.parametrize("backend,tolerance", [(EXACT, None), (BINARY64, 1e-9)])
+@pytest.mark.parametrize("value", [2.5, float("inf"), float("nan"), 9.0, "9"])
+def test_check_identity_rejects_non_int_counts(value, backend, tolerance):
+    with pytest.raises(ValueError, match="coeff_range must be an int"):
+        check_identity("u1 == u1", backend=backend, tolerance=tolerance, coeff_range=value)
+    with pytest.raises(ValueError, match="trials must be an int"):
+        check_identity("u1 == u1", backend=backend, tolerance=tolerance, trials=value)
+
+
+def test_literal_beyond_binary64_is_a_parse_error():
+    text = "1" + "0" * 400 + "*u1 == u1"
+    report = check_identity(text, dim=2, backend=BINARY64, trials=3, tolerance=1e-9)
+    assert report.status == "PARSE_ERROR"
+    assert report.message == "col 1: number too large for the binary64 backend"
+    assert check_identity(text, dim=2, trials=3).status == "FAIL"
+
+
+def test_shared_products_are_computed_once(monkeypatch):
+    # (u1*conj(u2))*u3 and its three parts share products: 8 distinct ones
+    # among the 14 the parts' definitions spell out.
+    calls = []
+    kernel = core._KERNELS[8]
+
+    def counted(a, b):
+        calls.append(None)
+        return kernel(a, b)
+
+    monkeypatch.setitem(core._KERNELS, 8, counted)
+    check_identity(DECOMPOSITION_LINE, dim=8, trials=1)
+    assert len(calls) == 8
+    calls.clear()
+    for line in builtin_lines(8):
+        check_identity(line, dim=8, trials=1)
+    assert len(calls) == 276
+
+
+@pytest.mark.parametrize("text,status", [
+    ("t0*v0 == t0*v0", "PASS"),
+    ("(_mul*k0)*print == _mul*(k0*print)", "FAIL"),
+    ("__import__*f == f*__import__", "FAIL"),
+    ("inner(_scale, __builtins__)*v1 == inner(__builtins__, _scale)*v1", "PASS"),
+])
+def test_identity_names_never_reach_generated_source(text, status):
+    report = check_identity(text, dim=8, trials=20)
+    assert report.status == status
+    if status == "FAIL":
+        assert set(report.witness) == set(parse(text).free_vars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=40), st.text(alphabet=" u12e0i7()*+-,/=conjmrsacx", max_size=40)),
+       st.sampled_from(DIMS), st.sampled_from([(EXACT, None), (BINARY64, 1e-9)]))
+def test_any_text_yields_a_report(text, dim, options):
+    backend, tolerance = options
+    report = check_identity(text, dim=dim, backend=backend, trials=2, tolerance=tolerance)
+    assert isinstance(report, CheckReport)
+    assert report.status in ("PASS", "FAIL", "PARSE_ERROR")
 
 
 def test_exhaustive_basis_mode():
