@@ -9,8 +9,8 @@ Commands:
 Exit codes: 0 all checks passed, 1 at least one identity failed, 2 I/O error
 (a missing file, or the reader closing stdout early, which exits quietly),
 3 malformed input (bad coefficients, parse errors, a file that is not UTF-8,
-inconsistent options, a coefficient range or a `decompose` result beyond the
-backend's numbers).
+inconsistent options, a coefficient range or a `decompose` coefficient or
+result beyond the backend's numbers or too long to print).
 Output is byte-identical across runs with the same configuration.
 
 What depends on the backend is looked up in its scalar ring, `core.BACKENDS`,
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -119,6 +120,35 @@ def run_check(cfg: RunConfig, path: str, out=None) -> int:
     return 1 if any_fail else 0
 
 
+# A decimal literal split at its exponent: Fraction(mantissa) * 10**exponent.
+_SCIENTIFIC = re.compile(r"([-+]?[\d_.]+)[eE]([-+]?\d+(?:_\d+)*)")
+# The most digits str() gives an int; 0 for no limit, as before Python 3.10.7.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _rational(text: str) -> Fraction:
+    """Fraction(text), without raising 10 to an exponent that no report can print.
+
+    Past `limit + len(text)`, where `limit` is the most digits str() prints,
+    a nonzero value is at least 10**(limit+1), or below 10**-(limit+1), in
+    magnitude.  It is then returned as that bound with its sign, which every
+    ring takes where it takes the value: a float overflows or rounds to the
+    same signed zero, and an exact value has too many digits to print.
+    """
+    match = _SCIENTIFIC.fullmatch(text)
+    limit = _max_str_digits()
+    if match is None or not limit:
+        return Fraction(text)
+    exponent = int(match[2])
+    if abs(exponent) <= limit + len(text):
+        return Fraction(text)
+    mantissa = Fraction(match[1])
+    if not mantissa:
+        return mantissa
+    bound = Fraction(10) ** (limit + 1 if exponent > 0 else -limit - 1)
+    return bound if mantissa > 0 else -bound
+
+
 def _parse_coeffs(text: str, cfg: RunConfig) -> HNum:
     parts = text.split(",")
     if len(parts) != cfg.dim:
@@ -127,11 +157,17 @@ def _parse_coeffs(text: str, cfg: RunConfig) -> HNum:
     for part in parts:
         part = part.strip()
         try:
-            values.append(coerce_scalar(Fraction(part), cfg.backend))
+            value = coerce_scalar(_rational(part), cfg.backend)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad coefficient {part!r}") from None
         except OverflowError:
             raise ValueError(f"coefficient {part!r} is beyond the {cfg.backend} range") from None
+        try:
+            scalar_str(value)  # the report prints every input
+        except ValueError:
+            limit = _max_str_digits()
+            raise ValueError(f"coefficient {part!r} has more than {limit} digits") from None
+        values.append(value)
     return HNum(cfg.dim, tuple(values), cfg.backend)
 
 

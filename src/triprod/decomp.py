@@ -21,28 +21,38 @@ Each part's squared length has a closed form in the inner products of the
 arguments, via 3x3 Gram determinants; the three squared lengths sum to
 (u1,u1)(u2,u2)(u3,u3).
 
+acomm3, cross3 and assoc3 are the definitions; together they make 14
+products, of which 8 differ.  decompose_triple makes those 8 once and the
+closed forms work on coefficient tuples, with the definitions' operations in
+their order, so results equal the definitions' bit for bit (as tested).
+
 Every function here is pure; inputs must share one dimension and backend.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add as _add, mul as _mul, sub as _sub
 
 from .core import (
+    _KERNELS,
+    BACKENDS,
     HNum,
     Record,
     Scalar,
+    _check_same,
+    _hnum,
+    _t_conj,
     add,
     conj,
     inner,
     mul,
-    norm_sq,
     real_coeff,
     scale,
     sub,
     unit,
 )
-from .oracle import det3, gram, gram_im
 
 _HALF = Fraction(1, 2)
 
@@ -149,15 +159,59 @@ def cross3_closed(u1: HNum, u2: HNum, u3: HNum) -> HNum:
     return sub(out, scale(real_coeff(u3), c12))
 
 
+def _checked(u1: HNum, u2: HNum, u3: HNum):
+    """The ring and coefficient tuples of three operands of one dim and backend."""
+    _check_same(u1, u2)
+    _check_same(u1, u3)
+    return BACKENDS[u1.backend], u1.coeffs, u2.coeffs, u3.coeffs
+
+
 def decompose_triple(u1: HNum, u2: HNum, u3: HNum) -> TripleDecomposition:
-    """Split (u1*conj(u2))*u3 into its three mutually orthogonal parts."""
-    product = mul(mul(u1, conj(u2)), u3)
-    return TripleDecomposition(
-        anticommutator=acomm3(u1, u2, u3),
-        cross=cross3(u1, u2, u3),
-        associator=assoc3(u1, u2, u3),
-        product=product,
+    """Split (u1*conj(u2))*u3 into its three mutually orthogonal parts,
+    acomm3, cross3 and assoc3, from their 8 distinct products."""
+    ring, a, b, c = _checked(u1, u2, u3)
+    k = _KERNELS[u1.dim]
+    c2 = _t_conj(b)
+    product = k(k(a, c2), c)
+    half = ring.coerce(_HALF)
+    parts = (
+        ring.scale(half, list(map(_add, product, k(k(c, c2), a)))),
+        ring.scale(half, list(map(_sub, product, k(c, k(c2, a))))),
+        ring.scale(half, list(map(_sub, product, k(a, k(c2, c))))),
+        product,
     )
+    dim, backend = u1.dim, u1.backend
+    return TripleDecomposition(*[_hnum(dim, t, backend) for t in parts])
+
+
+# On coefficient tuples: sums add left to right from int 0 as `core.inner`
+# does, and determinants keep the cofactor order of `oracle.det3`.
+
+def _dot(a, b) -> Scalar:
+    return reduce(_add, map(_mul, a, b), 0)
+
+
+def _gram(a, b, c) -> tuple:
+    """The entries (g00, g01, g02, g11, g12, g22) of gram(...) on the tuples."""
+    return _dot(a, a), _dot(a, b), _dot(a, c), _dot(b, b), _dot(b, c), _dot(c, c)
+
+
+def _det3(g00, g01, g02, g11, g12, g22) -> Scalar:
+    """det3 of the symmetric matrix with these entries."""
+    return (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
+            + g02 * (g01 * g12 - g11 * g02))
+
+
+def _gram_im_det(ring, a, b, c) -> Scalar:
+    """det3(gram_im(...)): the Gram determinant of the imaginary parts."""
+    z = (ring.zero,)
+    return _det3(*_gram(z + a[1:], z + b[1:], z + c[1:]))
+
+
+def _mixed(ring, a, b, c) -> Scalar:
+    """inner(cross2(u1, u2), u3), the mixed product ([u1,u2],u3)."""
+    k = _KERNELS[len(a)]
+    return _dot(ring.scale(ring.coerce(_HALF), list(map(_sub, k(a, b), k(b, a)))), c)
 
 
 def norm_sq_acomm3(u1: HNum, u2: HNum, u3: HNum) -> Scalar:
@@ -165,7 +219,9 @@ def norm_sq_acomm3(u1: HNum, u2: HNum, u3: HNum) -> Scalar:
 
     (u1,u1)(u2,u2)(u3,u3) minus the Gram determinant of the arguments.
     """
-    return norm_sq(u1) * norm_sq(u2) * norm_sq(u3) - det3(gram(u1, u2, u3))
+    _, a, b, c = _checked(u1, u2, u3)
+    g = _gram(a, b, c)
+    return g[0] * g[3] * g[5] - _det3(*g)
 
 
 def norm_sq_cross3(u1: HNum, u2: HNum, u3: HNum) -> Scalar:
@@ -174,8 +230,9 @@ def norm_sq_cross3(u1: HNum, u2: HNum, u3: HNum) -> Scalar:
     ([u1,u2],u3)^2 plus the Gram determinant of the arguments minus the Gram
     determinant of their imaginary parts.
     """
-    mixed = inner(cross2(u1, u2), u3)
-    return mixed * mixed + det3(gram(u1, u2, u3)) - det3(gram_im(u1, u2, u3))
+    ring, a, b, c = _checked(u1, u2, u3)
+    mixed = _mixed(ring, a, b, c)
+    return mixed * mixed + _det3(*_gram(a, b, c)) - _gram_im_det(ring, a, b, c)
 
 
 def norm_sq_assoc3(u1: HNum, u2: HNum, u3: HNum) -> Scalar:
@@ -183,8 +240,9 @@ def norm_sq_assoc3(u1: HNum, u2: HNum, u3: HNum) -> Scalar:
 
     The Gram determinant of the imaginary parts minus ([u1,u2],u3)^2.
     """
-    mixed = inner(cross2(u1, u2), u3)
-    return det3(gram_im(u1, u2, u3)) - mixed * mixed
+    ring, a, b, c = _checked(u1, u2, u3)
+    mixed = _mixed(ring, a, b, c)
+    return _gram_im_det(ring, a, b, c) - mixed * mixed
 
 
 def mirror_product(u1: HNum, u2: HNum, u3: HNum) -> HNum:
@@ -204,7 +262,8 @@ def okubo_rhs(u1: HNum, u2: HNum, u3: HNum) -> HNum:
     mul(mul(u1, u2), u3); it restates the conjugated-center decomposition for
     an unconjugated central factor.
     """
-    out = scale(2 * real_coeff(u2), mul(u1, u3))
-    out = sub(out, acomm3(u1, u2, u3))
-    out = sub(out, cross3(u1, u2, u3))
-    return sub(out, assoc3(u1, u2, u3))
+    plain = mul(u1, u3)
+    parts = decompose_triple(u1, u2, u3)  # a mismatched u2 raises here, not in scale
+    out = sub(scale(2 * real_coeff(u2), plain), parts.anticommutator)
+    out = sub(out, parts.cross)
+    return sub(out, parts.associator)

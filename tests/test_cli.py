@@ -135,6 +135,60 @@ def test_decompose_binary64_result_beyond_range():
     assert result.stdout == ""
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+def test_decompose_result_too_long_to_print_from_printable_inputs():
+    # Each input has 1501 digits; their product has 4501.
+    result = run_cli("decompose", "--dim", "1", "1e1500", "1e1500", "1e1500", timeout=60)
+    assert result.returncode == 3
+    assert _one_error_line(result.stderr)
+    assert "a result has more than" in result.stderr
+    assert result.stdout == ""
+
+
+# Fraction("1e10000000") alone takes seconds to build its power of ten; a
+# coefficient like it must be answered at once.
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+@pytest.mark.parametrize("coeff", ["1e10000000", "-1e-10000000", "2.5E+99999999"])
+def test_decompose_exact_coefficient_too_long_to_print(coeff):
+    result = run_cli("decompose", "--dim", "1", "--", coeff, "1", "1", timeout=30)
+    assert result.returncode == 3
+    assert _one_error_line(result.stderr)
+    assert f"coefficient {coeff!r} has more than" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("coeff", ["1e10000000", "-10.5e+99999999"])
+def test_decompose_binary64_huge_exponent_overflows(coeff):
+    result = run_cli("decompose", "--backend", "binary64", "--dim", "1", "--", coeff, "1", "1",
+                     timeout=30)
+    assert result.returncode == 3
+    assert _one_error_line(result.stderr)
+    assert f"coefficient {coeff!r} is beyond the binary64 range" in result.stderr
+
+
+@pytest.mark.parametrize("backend,coeff,printed", [
+    ("binary64", "1e-10000000", "0.0"),
+    ("binary64", "-1e-10000000", "-0.0"),  # as float(Fraction(-1, 10**10000000))
+    ("binary64", "-0.0e10000000", "0.0"),
+    ("exact", "-0.000e-10000000", "0"),
+])
+def test_decompose_huge_exponent_rounds_as_before(backend, coeff, printed):
+    result = run_cli("decompose", "--backend", backend, "--dim", "1", "--", coeff, "1", "1",
+                     timeout=30)
+    assert result.returncode == 0
+    assert result.stdout.startswith(f"u1             = {printed}\n")
+
+
+@pytest.mark.parametrize("coeff", ["1e_10000000", "1..5e10000000", "e10000000", "1e10000000e1"])
+def test_decompose_malformed_huge_exponent(coeff):
+    result = run_cli("decompose", "--dim", "1", "--", coeff, "1", "1", timeout=30)
+    assert result.returncode == 3
+    assert _one_error_line(result.stderr)
+    assert "bad coefficient" in result.stderr
+
+
 def test_check_binary64_overflow_is_a_failure(tmp_path):
     # Coefficients near 1e200 overflow every product to inf, and inf - inf
     # to NaN; both lines are false at dim 8 and must never PASS.

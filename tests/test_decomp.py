@@ -7,6 +7,9 @@ from hypothesis import given
 
 from conftest import hnums, rand_hnum, rand_tuple
 from triprod import (
+    BINARY64,
+    DIMS,
+    EXACT,
     acomm2,
     acomm3,
     acomm3_closed,
@@ -19,7 +22,11 @@ from triprod import (
     cross3_closed,
     decompose_pair,
     decompose_triple,
+    det3,
     expand_product2,
+    gram,
+    gram_im,
+    hnum,
     imaginary_part,
     inner,
     mirror_product,
@@ -30,11 +37,13 @@ from triprod import (
     norm_sq_assoc3,
     norm_sq_cross3,
     okubo_rhs,
+    real_coeff,
     scale,
     sub,
     unit,
     zero,
 )
+from triprod import core
 
 I0 = unit(8)
 E = [basis(8, k) for k in range(8)]
@@ -361,3 +370,107 @@ def test_degenerate_zero_inputs():
     assert parts.cross == z
     assert parts.associator == z
     assert norm_sq_acomm3(z, z, z) == 0
+
+
+# --- the shared-product fast path against the definitions ---------------------
+
+
+def _bits(x):
+    """Type and repr of every coefficient or scalar: equal only if identical,
+    bit for bit on floats (tells -0.0 from 0.0)."""
+    if hasattr(x, "coeffs"):
+        return x.dim, x.backend, [(type(c), repr(c)) for c in x.coeffs]
+    if hasattr(x, "_fields"):
+        x = [getattr(x, f) for f in x._fields]
+    if isinstance(x, list):
+        return [_bits(v) for v in x]
+    return type(x), repr(x)
+
+
+def _assert_matches_definitions(u1, u2, u3):
+    """Each fast-path result is what the plain definitions compute."""
+    mixed = inner(cross2(u1, u2), u3)
+    okubo = scale(2 * real_coeff(u2), mul(u1, u3))
+    for part in (acomm3, cross3, assoc3):
+        okubo = sub(okubo, part(u1, u2, u3))
+    parts = decompose_triple(u1, u2, u3)
+    assert _bits(parts) == _bits([acomm3(u1, u2, u3), cross3(u1, u2, u3), assoc3(u1, u2, u3),
+                                  mul(mul(u1, conj(u2)), u3)])
+    expected = {
+        norm_sq_acomm3: norm_sq(u1) * norm_sq(u2) * norm_sq(u3) - det3(gram(u1, u2, u3)),
+        norm_sq_cross3: mixed * mixed + det3(gram(u1, u2, u3)) - det3(gram_im(u1, u2, u3)),
+        norm_sq_assoc3: det3(gram_im(u1, u2, u3)) - mixed * mixed,
+        okubo_rhs: okubo,
+    }
+    for fn, value in expected.items():
+        assert _bits(fn(u1, u2, u3)) == _bits(value), fn.__name__
+
+
+def _random_triples(kind, dim):
+    rng = random.Random(f"{kind}-{dim}")
+
+    def coeff():
+        if kind == "int":
+            return rng.randint(-10**6, 10**6)
+        if kind == "fraction":
+            return Fraction(rng.randint(-99, 99), rng.randint(1, 60))
+        # Uniform mantissas round at almost every operation, so a reordered
+        # sum or product shows; the exponents keep degree-6 terms finite.
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-40, 40)
+
+    backend = BINARY64 if kind == "float" else EXACT
+    for _ in range(60):
+        yield tuple(hnum([coeff() for _ in range(dim)], backend) for _ in range(3))
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+@pytest.mark.parametrize("dim", DIMS)
+def test_fast_paths_equal_the_definitions(kind, dim):
+    for us in _random_triples(kind, dim):
+        _assert_matches_definitions(*us)
+
+
+def test_fast_paths_keep_signed_zeros():
+    for signs in itertools.product((0.0, -0.0), repeat=3):
+        _assert_matches_definitions(*(hnum([s, -s, s, 0.0], BINARY64) for s in signs))
+
+
+@pytest.mark.parametrize("fn,products", [
+    (decompose_triple, 8),   # 14 through acomm3, cross3 and assoc3
+    (okubo_rhs, 9),          # 13 through acomm3, cross3 and assoc3
+    (norm_sq_acomm3, 0),
+    (norm_sq_cross3, 2),
+    (norm_sq_assoc3, 2),
+])
+def test_triple_products_are_computed_once(monkeypatch, fn, products):
+    calls = []
+    kernel = core._KERNELS[8]
+
+    def counted(a, b):
+        calls.append(None)
+        return kernel(a, b)
+
+    monkeypatch.setitem(core._KERNELS, 8, counted)
+    fn(*rand_tuple(random.Random(20), 3, 8))
+    assert len(calls) == products
+
+
+MISMATCHED = [
+    ((8, EXACT), (4, EXACT), "dimension mismatch: 8 vs 4"),
+    ((4, EXACT), (8, EXACT), "dimension mismatch: 4 vs 8"),
+    ((8, EXACT), (8, BINARY64), "backend mismatch: exact vs binary64"),
+    ((8, BINARY64), (8, EXACT), "backend mismatch: binary64 vs exact"),
+]
+
+
+@pytest.mark.parametrize("fn", [decompose_triple, norm_sq_acomm3, norm_sq_cross3,
+                                norm_sq_assoc3, okubo_rhs])
+@pytest.mark.parametrize("odd", [1, 2])
+@pytest.mark.parametrize("first,other,message", MISMATCHED)
+def test_mismatched_operands_raise(fn, odd, first, other, message):
+    # The first operand sets dim and backend; a tuple zip over mismatched
+    # operands would silently truncate instead.
+    us = [zero(*first)] * 3
+    us[odd] = zero(*other)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fn(*us)
