@@ -43,6 +43,8 @@ generated once per class.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from functools import reduce
 from operator import add as _add, mul as _mul
@@ -71,6 +73,38 @@ def _canon(x):
     return x
 
 
+# A decimal literal split at its exponent: Fraction(mantissa) * 10**exponent.
+_SCIENTIFIC = re.compile(r"([-+]?[\d_.]+)[eE]([-+]?\d+(?:_\d+)*)")
+# The most digits str() gives an int; 0 for no limit, as before Python 3.10.7.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+class DigitsError(ValueError):
+    """An exact number with more digits than str() prints."""
+
+
+def _rational(text: str, exact: bool) -> Fraction:
+    """Fraction(text), without raising 10 to an exponent that no report can print.
+
+    Past `limit + len(text)`, where `limit` is the most digits str() prints,
+    a nonzero value is at least 10**(limit+1), or below 10**-(limit+1), in
+    magnitude.  An exact ring refuses it with DigitsError; binary64 takes
+    that bound with the value's sign, which overflows or rounds to the same
+    signed zero as the value.
+    """
+    match = _SCIENTIFIC.fullmatch(text.strip())
+    limit = _max_str_digits()
+    if match is None or not limit or abs(exponent := int(match[2])) <= limit + len(text):
+        return Fraction(text)
+    mantissa = Fraction(match[1])
+    if not mantissa:
+        return mantissa
+    if exact:
+        raise DigitsError(f"{text!r} has more than {limit} digits")
+    bound = Fraction(10) ** (limit + 1 if exponent > 0 else -limit - 1)
+    return bound if mantissa > 0 else -bound
+
+
 class _Exact:
     """Rationals, int or Fraction: two sides are equal or they differ."""
 
@@ -82,6 +116,8 @@ class _Exact:
     def coerce(value) -> Scalar:
         if isinstance(value, float):
             raise TypeError("float coefficient not allowed on the exact backend")
+        if isinstance(value, str):
+            value = _rational(value, exact=True)
         return _canon(value if isinstance(value, (int, Fraction)) else Fraction(value))
 
     from_ints = tuple
@@ -122,7 +158,7 @@ class _Binary64:
     @staticmethod
     def coerce(value) -> float:
         if isinstance(value, str):
-            value = Fraction(value)
+            value = _rational(value, exact=False)
         return float(value)
 
     @staticmethod

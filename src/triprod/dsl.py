@@ -25,8 +25,9 @@ with a column number.
 Checking an identity generates one straight-line function from both sides,
 `f(v0, v1, ...) -> (lhs, rhs)` over coefficient tuples.  Every operation in
 it is chosen by sort and computed once, however often the sides use it, and
-the functions of the language are expanded as `core` and `decomp` compute
-them; `evaluate` runs the same kind of function.  Samples give each free
+the functions of the language are expanded into the operations of `core` and
+of the definitions in `decomp`, in their order.  `evaluate` and the fast paths
+of `decomp` run the same kind of function.  Samples give each free
 variable integer coefficients from a seeded generator, the values
 `Random.randint` would draw in the same order, made into backend scalars by
 the backend's ring (`core.BACKENDS`).  The ring also decides whether the two
@@ -526,7 +527,7 @@ class _Gen:
 
 # name -> (arity, result sort, definition): the generator's method, or the
 # function in the language itself, over arguments u1, u2, u3, operation for
-# operation as `core.norm_sq` and `decomp` compute it.
+# operation as `core.norm_sq` and the definitions in `decomp` compute it.
 FUNCTIONS = {
     "conj": (1, VECTOR, _Gen.conj),
     "im": (1, VECTOR, _Gen.im),

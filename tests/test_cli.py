@@ -1,10 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import triprod
+from triprod import cli
 from triprod.suite import builtin_lines, numbered_lines, strip_lines
 
 BASE = [sys.executable, "-m", "triprod"]
@@ -422,3 +429,51 @@ def test_table_dim4_antisymmetric_off_diagonal():
 def test_suite_lower_dims_pass(dim):
     result = run_cli("suite", "--dim", str(dim), "--trials", "60")
     assert result.returncode == 0
+
+
+# Every subcommand and flag, with values that have broken parsers before:
+# huge exponents and ranges, nan, a zero denominator, wrong lengths.
+FLAG_VALUES = {
+    "--backend": ["exact", "binary64"],
+    "--seed": ["0", "-1", str(10**400)],
+    "--coeff-range": ["1", "9", "0", str(10**400), "1e10000000"],
+    "--tolerance": ["1e-9", "0", "nan", "inf", "1e10000000", f"1e-{10**400}"],
+    "--format": ["text", "json"],
+}
+SCALARS = ["1", "-0.0", "1/2", "1/0", "nan", "inf", "x", "", "1e10000000", "-1e-10000000",
+           "1e308", "-1e308", str(10**400), "1e-400"]
+PATHS = [str(Path(triprod.__file__).parent / "data" / "suite.txt"), "no/such/file", "."]
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["suite", "check", "decompose", "table"]))
+    dim = draw(st.sampled_from([1, 2, 4, 8]))
+    # --trials stays small: a suite of 1000 trials takes seconds.
+    trials = draw(st.sampled_from(["1", "1", "1", "1", "2", "0", "x"]))
+    argv = [command, "--dim", str(dim), "--trials", trials]
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=3)):
+        argv += [flag, draw(st.sampled_from(FLAG_VALUES[flag]))]
+    words = {"check": [draw(st.sampled_from(PATHS))], "suite": [], "table": []}.get(command)
+    if words is None:  # decompose: three values, mostly of the right length
+        lengths = st.sampled_from([dim] * 7 + [dim + 1])
+        words = [",".join(draw(st.lists(st.sampled_from(SCALARS), min_size=n, max_size=n)))
+                 for n in [draw(lengths) for _ in range(3)]]
+    if draw(st.integers(0, 9)) == 0:
+        words.append(draw(st.sampled_from(["1", "-h"])))  # one word too many, or help
+    if words and draw(st.booleans()):
+        argv.append("--")  # lets a word start with "-"
+    return argv + words
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_any_argv_exits_0_to_3_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:  # argparse: usage errors and --help
+            code = exit_.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

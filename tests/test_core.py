@@ -1,6 +1,8 @@
 import ast
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,9 +15,11 @@ from triprod import (
     BINARY64,
     DIMS,
     EXACT,
+    DigitsError,
     add,
     allclose,
     basis,
+    coerce_scalar,
     conj,
     embed,
     hnum,
@@ -83,6 +87,54 @@ def test_exact_backend_rejects_float():
 def test_hnum_accepts_rational_strings():
     u = hnum(["1/2", "-3", "0", "0"])
     assert u.coeffs == (Fraction(1, 2), -3, 0, 0)
+
+
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="this Python prints integers of any length")
+
+
+# Fraction("1e10000000") alone takes seconds to build its power of ten; the
+# rings must answer such a string at once, so each case runs in a child
+# process with a timeout.
+@needs_digit_limit
+@pytest.mark.parametrize("backend,text,expected", [
+    (EXACT, "1e10000000", "DigitsError"),
+    (EXACT, " -2.5E-99999999", "DigitsError"),
+    (EXACT, "-0.000e-10000000", "0"),
+    (BINARY64, "1e10000000", "OverflowError"),
+    (BINARY64, "-10.5e+99999999", "OverflowError"),
+    (BINARY64, "1e-10000000", "0.0"),
+    (BINARY64, "-1e-10000000", "-0.0"),
+    (BINARY64, "-0.0e10000000", "0.0"),
+])
+def test_huge_exponents_are_answered_at_once(backend, text, expected):
+    code = (
+        "import triprod\n"
+        "try:\n"
+        f"    print(repr(triprod.hnum([{text!r}, 0], {backend!r}).coeffs[0]))\n"
+        "except (ValueError, OverflowError) as err:\n"
+        "    print(type(err).__name__)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=30)
+    assert result.stdout == expected + "\n", result.stderr
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("text", ["1e5000", "-3e-5000", "7.5e-4400", "-0.5e4400"])
+def test_past_the_digit_limit_binary64_rounds_as_fraction(text):
+    try:
+        expected = float(Fraction(text))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            coerce_scalar(text, BINARY64)
+    else:
+        assert repr(coerce_scalar(text, BINARY64)) == repr(expected)
+    # The exact value has more digits than str() prints.
+    with pytest.raises(DigitsError):
+        coerce_scalar(text, EXACT)
+    with pytest.raises(ValueError):
+        str(Fraction(text))
 
 
 def test_embed_zero_pads():

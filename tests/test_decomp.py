@@ -43,7 +43,7 @@ from triprod import (
     unit,
     zero,
 )
-from triprod import core
+from triprod import core, decomp, dsl
 
 I0 = unit(8)
 E = [basis(8, k) for k in range(8)]
@@ -451,8 +451,31 @@ def test_triple_products_are_computed_once(monkeypatch, fn, products):
         return kernel(a, b)
 
     monkeypatch.setitem(core._KERNELS, 8, counted)
+    # A function generated before the patch calls the unpatched kernel.
+    monkeypatch.setattr(decomp, "_FUNCS", {})
     fn(*rand_tuple(random.Random(20), 3, 8))
     assert len(calls) == products
+
+
+def test_fast_paths_generate_once_per_dim_and_backend(monkeypatch):
+    generated = []
+    generate = dsl._generate
+
+    def counted(*args):
+        generated.append(args[2:])
+        return generate(*args)
+
+    monkeypatch.setattr(dsl, "_generate", counted)
+    monkeypatch.setattr(decomp, "_FUNCS", {})
+    decompose_triple(*rand_tuple(random.Random(21), 3, 4))
+    decompose_triple(*rand_tuple(random.Random(22), 3, 4))
+    assert generated == [(4, EXACT)]
+    floats = rand_tuple(random.Random(21), 3, 4, BINARY64)
+    parts = decompose_triple(*floats)
+    assert generated == [(4, EXACT), (4, BINARY64)]
+    assert all(type(c) is float for f in parts._fields for c in getattr(parts, f).coeffs)
+    decompose_triple(*floats)
+    assert len(generated) == 2
 
 
 MISMATCHED = [
