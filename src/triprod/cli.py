@@ -33,6 +33,7 @@ from .core import (
     DigitsError,
     HNum,
     Record,
+    brief,
     check_options,
     coeff_str,
     coerce_scalar,
@@ -41,7 +42,7 @@ from .core import (
     scalar_ring,
     scalar_str,
 )
-from .dsl import FAIL, PARSE_ERROR, check_identity, report_json_obj, report_text
+from .dsl import FAIL, PARSE_ERROR, check_identities, report_json_obj, report_text
 from .oracle import build_table, format_table
 from .suite import builtin_lines, numbered_lines
 
@@ -81,11 +82,11 @@ def _check_lines(lines, cfg: RunConfig, out, numbered: bool = False):
     """Check lines in order; returns (any_parse_error, any_failure)."""
     any_parse = False
     any_fail = False
-    for lineno, line in lines:
-        report = check_identity(
-            line, dim=cfg.dim, backend=cfg.backend, trials=cfg.trials,
-            seed=cfg.seed, coeff_range=cfg.coeff_range, tolerance=cfg.tolerance,
-        )
+    reports = check_identities(
+        [line for _, line in lines], dim=cfg.dim, backend=cfg.backend, trials=cfg.trials,
+        seed=cfg.seed, coeff_range=cfg.coeff_range, tolerance=cfg.tolerance,
+    )
+    for (lineno, _), report in zip(lines, reports):
         prefix = f"line {lineno}: " if numbered else ""
         _emit(report, cfg, out, prefix)
         if report.status == PARSE_ERROR:
@@ -134,11 +135,12 @@ def _parse_coeffs(text: str, cfg: RunConfig) -> HNum:
                 raise DigitsError from None
         except DigitsError:  # before ValueError, its base
             limit = sys.get_int_max_str_digits()
-            raise ValueError(f"coefficient {part!r} has more than {limit} digits") from None
+            raise ValueError(f"coefficient {brief(part)} has more than {limit} digits") from None
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad coefficient {part!r}") from None
+            raise ValueError(f"bad coefficient {brief(part)}") from None
         except OverflowError:
-            raise ValueError(f"coefficient {part!r} is beyond the {cfg.backend} range") from None
+            raise ValueError(
+                f"coefficient {brief(part)} is beyond the {cfg.backend} range") from None
         values.append(value)
     return HNum(cfg.dim, tuple(values), cfg.backend)
 

@@ -80,27 +80,47 @@ _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 class DigitsError(ValueError):
-    """An exact number with more digits than str() prints."""
+    """A number, or the text of one, with more digits than str() prints or
+    int() converts."""
+
+
+def brief(text: str, width: int = 40) -> str:
+    """repr(text) for a one-line message: its start alone, and its length, if
+    it is longer than `width`."""
+    return repr(text) if len(text) <= width else f"{text[:width]!r}... ({len(text)} characters)"
 
 
 def _rational(text: str, exact: bool) -> Fraction:
-    """Fraction(text), without raising 10 to an exponent that no report can print.
+    """Fraction(text), without raising 10 to an exponent that no report can
+    print, or asking int() for a run of more digits than it converts.
 
-    Past `limit + len(text)`, where `limit` is the most digits str() prints,
-    a nonzero value is at least 10**(limit+1), or below 10**-(limit+1), in
-    magnitude.  An exact ring refuses it with DigitsError; binary64 takes
-    that bound with the value's sign, which overflows or rounds to the same
-    signed zero as the value.
+    With `limit` the most digits str() prints, a nonzero value whose exponent
+    is past `limit + len(text)`, or an integer of more than `limit` digits
+    after its leading zeros, is beyond 10**limit or below 10**-limit in
+    magnitude.  An exact ring refuses it with DigitsError; binary64 takes the
+    bound 10**(limit+1), or 10**-(limit+1) with the value's sign, which
+    overflows or rounds to the same signed zero as the value.  Other text
+    with a run of more than `limit` digits is a DigitsError on both rings.
     """
-    match = _SCIENTIFIC.fullmatch(text.strip())
+    text = text.strip()
     limit = _max_str_digits()
-    if match is None or not limit or abs(exponent := int(match[2])) <= limit + len(text):
-        return Fraction(text)
-    mantissa = Fraction(match[1])
-    if not mantissa:
-        return mantissa
+    # Compiled on first use only: nothing shorter than `limit` needs them.
+    if limit and len(text) > limit and any(len(run) > limit for run in re.findall(r"\d+", text)):
+        integer = re.fullmatch(r"([-+]?)0*(\d+)", text)  # sign, digits from the first nonzero
+        if integer is None:
+            raise DigitsError(f"{brief(text)} has a run of more than {limit} digits")
+        if len(integer[2]) <= limit:
+            return Fraction(integer[1] + integer[2])
+        exponent = mantissa = 1  # at least 10**limit: binary64 overflows at either sign
+    else:
+        match = _SCIENTIFIC.fullmatch(text)
+        if match is None or not limit or abs(exponent := int(match[2])) <= limit + len(text):
+            return Fraction(text)
+        mantissa = Fraction(match[1])
+        if not mantissa:
+            return mantissa
     if exact:
-        raise DigitsError(f"{text!r} has more than {limit} digits")
+        raise DigitsError(f"{brief(text)} has more than {limit} digits")
     bound = Fraction(10) ** (limit + 1 if exponent > 0 else -limit - 1)
     return bound if mantissa > 0 else -bound
 
@@ -124,17 +144,16 @@ class _Exact:
 
     @staticmethod
     def scale(s, xs) -> tuple:
-        # A rational times integers, as the halvings in `decomp` and the
-        # suite's 1/2*(...) are: integral products never become Fractions.
-        # An integral Fraction `s` (a product of scalars can be one) acts as
-        # the int that `coerce` makes of it.
+        # n/d times rationals, as the halvings in `decomp` and the suite's
+        # 1/2*(...) are: p = n*x over d is an int wherever d divides p, for an
+        # int or a Fraction p, and a Fraction in lowest terms elsewhere, so
+        # integral products never become Fractions.  An integral Fraction `s`
+        # (a product of scalars can be one) acts as the int `coerce` makes.
         if type(s) is Fraction:
             n, d = s.numerator, s.denominator
             if d != 1:
-                if all(type(x) is int for x in xs):
-                    return tuple([p // d if not p % d else Fraction(p, d)
-                                  for p in [n * x for x in xs]])
-                return tuple([_canon(s * x) for x in xs])
+                return tuple([p // d if not p % d else Fraction(p, d)
+                              for p in (xs if n == 1 else [n * x for x in xs])])
             s = n
         return tuple([p if type(p) is int else _canon(p) for p in [s * x for x in xs]])
 

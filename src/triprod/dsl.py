@@ -22,18 +22,23 @@ everything else; a scalar may multiply a vector only from the left.  Sort,
 arity and nesting errors (beyond MAX_DEPTH levels) are reported at parse time
 with a column number.
 
-Checking an identity generates one straight-line function from both sides,
-`f(v0, v1, ...) -> (lhs, rhs)` over coefficient tuples.  Every operation in
-it is chosen by sort and computed once, however often the sides use it, and
-the functions of the language are expanded into the operations of `core` and
-of the definitions in `decomp`, in their order.  `evaluate` and the fast paths
-of `decomp` run the same kind of function.  Samples give each free
+Checking identities generates one straight-line function from both sides of
+each, `f(v0, v1, ...) -> (lhs, rhs, ...)` over coefficient tuples.  Every
+operation in it is chosen by sort and computed once, however often the sides
+use it, and the functions of the language are expanded into the operations of
+`core` and of the definitions in `decomp`, in their order.  `evaluate` and the
+fast paths of `decomp` run the same kind of function.  Samples give each free
 variable integer coefficients from a seeded generator, the values
 `Random.randint` would draw in the same order, made into backend scalars by
-the backend's ring (`core.BACKENDS`).  The ring also decides whether the two
-sides of a trial differ: exactly on the exact backend, beyond the tolerance
-or not finite on binary64.  A PASS is a property-check verdict ("no
-counterexample found"), not a proof.
+the backend's ring (`core.BACKENDS`).  Variables are bound by position, so
+identities with equally many free variables see the same samples:
+`check_identities` checks those among each GROUP_SIZE lines together, with one
+function, and whatever they share is computed once per trial.  Each report is
+the one the identity gets when checked alone, byte for byte; they arrive in
+bursts, a group's at once.  The ring also decides whether the two sides of a
+trial differ: exactly on the exact backend, beyond the tolerance or not finite
+on binary64.  A PASS is a property-check verdict ("no counterexample found"),
+not a proof.
 """
 
 from __future__ import annotations
@@ -66,6 +71,11 @@ PARSE_ERROR = "PARSE_ERROR"
 # few frames per level, so this keeps all of them far below Python's recursion
 # limit; the generated function itself is straight-line code.
 MAX_DEPTH = 100
+
+# Identities parsed and grouped at a time, so also the most checked by one
+# generated function: what a check holds at once grows with it.
+GROUP_SIZE = 64
+
 
 class ParseError(ValueError):
     """Syntax, arity or sort error, with a 1-based column number."""
@@ -417,16 +427,17 @@ class _Gen:
     ring's `scale`; other vector operations and inner products are unrolled
     into the same scalar operations, in the same order, as in `core`, so the
     results are those of `core` bit for bit.  The source names only `v<i>`
-    (the i-th free variable's coefficients), locals `t<n>`, constants `k<n>`
-    and a vector's coefficients `<name>_<i>`: no identity text reaches it.
+    (the coefficients bound to an expression's i-th free variable), locals
+    `t<n>`, constants `k<n>` and a vector's coefficients `<name>_<i>`: no
+    identity text reaches it.
     """
 
-    def __init__(self, dim: int, backend: str, names):
+    def __init__(self, dim: int, backend: str, params: int):
         self.dim = dim
         self.ring = BACKENDS[backend]
         self.ns = {"_mul": _KERNELS[dim], "_scale": self.ring.scale}
-        self.vars = {name: f"v{i}" for i, name in enumerate(names)}
-        self.parts = dict.fromkeys(self.vars.values())
+        self.vars = {}
+        self.parts = dict.fromkeys(f"v{i}" for i in range(params))
         self.memo = {}
         self.lines = []
 
@@ -544,10 +555,15 @@ FUNCTIONS = {
 
 def _generate(exprs, names, dim: int, backend: str):
     """`f(v0, v1, ...)`: the tuple of the values of `exprs`, each a coefficient
-    tuple or a scalar, when `vi` is the coefficient tuple of `names[i]`."""
-    gen = _Gen(dim, backend, names)
-    outs = [gen.value(e) for e in exprs]
-    params = ", ".join(f"v{i}" for i in range(len(names)))
+    tuple or a scalar, when `vi` is the coefficient tuple of `names[k][i]` in
+    `exprs[k]`.  Expressions that bind the same tuples share their operations."""
+    count = max(map(len, names), default=0)
+    gen = _Gen(dim, backend, count)
+    outs = []
+    for expr, expr_names in zip(exprs, names):
+        gen.vars = {name: f"v{i}" for i, name in enumerate(expr_names)}
+        outs.append(gen.value(expr))
+    params = ", ".join(f"v{i}" for i in range(count))
     src = f"def f({params}):\n{''.join(gen.lines)}    return ({', '.join(outs)},)\n"
     exec(compile(src, "<triprod identity>", "exec"), gen.ns)
     return gen.ns["f"]
@@ -570,7 +586,7 @@ def evaluate(expr: Expr, env: dict, dim: int, backend: str = EXACT):
         if (u.dim, u.backend) != (dim, backend):
             raise ValueError(f"{name} is not a dimension {dim} {backend} value")
         args.append(u.coeffs)
-    (value,) = _generate((expr,), names, dim, backend)(*args)
+    (value,) = _generate((expr,), (names,), dim, backend)(*args)
     return HNum(dim, value, backend) if isinstance(value, tuple) else value
 
 
@@ -610,31 +626,42 @@ def _deviation(left, right):
     return worst
 
 
-def _run_check(identity: Identity, samples, dim, backend, tolerance, seed) -> CheckReport:
-    """Check on each sample, a tuple of coefficient tuples in the order of
-    `identity.free_vars`."""
+def _run_check(identities, samples, dim, backend, tolerance, seed) -> list:
+    """Reports for identities with equally many free variables, checked
+    together: on each sample, a tuple of coefficient tuples bound to each
+    identity's free variables in order, one generated function gives both
+    sides of every identity, so whatever they share is computed once."""
     ring = BACKENDS[backend]
-    sides = _generate((identity.lhs, identity.rhs), identity.free_vars, dim, backend)
+    names = [identity.free_vars for identity in identities for _ in (0, 1)]
+    exprs = [side for identity in identities for side in (identity.lhs, identity.rhs)]
+    sides = _generate(exprs, names, dim, backend)
     differs = ring.differs
+    count = len(identities)
     trials = 0
-    failures = 0
-    max_dev = ring.zero
-    witness = None
+    failures = [0] * count
+    max_devs = [ring.zero] * count
+    witnesses = [None] * count
     for args in samples:
         trials += 1
-        dev = _deviation(*sides(*args))
-        if not dev <= max_dev and max_dev == max_dev:  # a NaN, once in, stays
-            max_dev = dev
-        if differs(dev, tolerance, args):
-            failures += 1
-            if witness is None:
-                witness = {name: HNum(dim, a, backend) for name, a in zip(identity.free_vars, args)}
-    status = PASS if failures == 0 else FAIL
-    return CheckReport(
-        identity=identity.text, dim=dim, backend=backend, trials=trials,
-        failures=failures, max_deviation=max_dev, witness=witness,
-        status=status, seed=seed,
-    )
+        values = iter(sides(*args))
+        for k, lhs, rhs in zip(range(count), values, values):
+            dev = _deviation(lhs, rhs)
+            max_dev = max_devs[k]
+            if not dev <= max_dev and max_dev == max_dev:  # a NaN, once in, stays
+                max_devs[k] = dev
+            if differs(dev, tolerance, args):
+                failures[k] += 1
+                if witnesses[k] is None:
+                    witnesses[k] = {name: HNum(dim, a, backend)
+                                    for name, a in zip(identities[k].free_vars, args)}
+    return [
+        CheckReport(
+            identity=identity.text, dim=dim, backend=backend, trials=trials,
+            failures=failures[k], max_deviation=max_devs[k], witness=witnesses[k],
+            status=PASS if failures[k] == 0 else FAIL, seed=seed,
+        )
+        for k, identity in enumerate(identities)
+    ]
 
 
 def _prepare(identity, dim: int, backend: str, tolerance, seed, coeff_range: int = 0):
@@ -690,6 +717,60 @@ def _sampler(rng: random.Random, bound: int):
     return draw
 
 
+def _checks(identities, samples, dim, backend, tolerance, seed, coeff_range=0):
+    """Yield a report per identity, in order.  The identities are taken
+    GROUP_SIZE at a time; of those, the ones with equally many free
+    variables, `count`, are checked together by `_run_check` on
+    `samples(count)`, when the first of them is due."""
+    identities = iter(identities)
+    while batch := list(itertools.islice(identities, GROUP_SIZE)):
+        prepared = [_prepare(identity, dim, backend, tolerance, seed, coeff_range)
+                    for identity in batch]
+        groups = {}  # free-variable count -> the indices of its identities
+        for index, (identity, _) in enumerate(prepared):
+            if identity is not None:
+                groups.setdefault(len(identity.free_vars), []).append(index)
+        firsts = {group[0]: group for group in groups.values()}
+        done = {}
+        for index, (identity, report) in enumerate(prepared):
+            if index in firsts:
+                group = firsts[index]
+                members = [prepared[i][0] for i in group]
+                reports = _run_check(members, samples(len(identity.free_vars)), dim, backend,
+                                     tolerance, seed)
+                done.update(zip(group, reports))
+            yield report if report is not None else done.pop(index)
+
+
+def check_identities(identities, dim: int = 8, backend: str = EXACT, trials: int = 1000,
+                     seed: int = 42, coeff_range: int = 9, tolerance: float | None = None):
+    """Randomized check of each identity, as `check_identity`: yields its
+    report for each one, in order.
+
+    Every identity with `n` free variables sees the same samples, the ones a
+    generator seeded with `seed` draws for `n` variables.  So of each
+    GROUP_SIZE identities in turn, those with equally many free variables are
+    checked together, and what they share is computed once per trial.  The
+    reports are those `check_identity` gives, byte for byte, but they arrive
+    in bursts: a group's all at once, when its first is due.  ValueError at
+    once where `check_identity` refuses `trials` or `coeff_range`.
+    """
+    if not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    if not isinstance(coeff_range, int) or coeff_range < 0:
+        raise ValueError(f"coeff_range must be an int >= 0, got {coeff_range!r}")
+
+    def samples(count):
+        from_ints = BACKENDS[backend].from_ints
+        draw = _sampler(random.Random(seed), coeff_range)
+        size = dim * count
+        for _ in range(trials):
+            ints = draw(size)
+            yield tuple([from_ints(ints[i:i + dim]) for i in range(0, size, dim)])
+
+    return _checks(identities, samples, dim, backend, tolerance, seed, coeff_range)
+
+
 def check_identity(identity, dim: int = 8, backend: str = EXACT, trials: int = 1000,
                    seed: int = 42, coeff_range: int = 9,
                    tolerance: float | None = None) -> CheckReport:
@@ -703,24 +784,8 @@ def check_identity(identity, dim: int = 8, backend: str = EXACT, trials: int = 1
     int, `trials` is below 1, or `coeff_range` is negative or beyond what the
     backend's scalars hold.
     """
-    if not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
-    if not isinstance(coeff_range, int) or coeff_range < 0:
-        raise ValueError(f"coeff_range must be an int >= 0, got {coeff_range!r}")
-    identity, report = _prepare(identity, dim, backend, tolerance, seed, coeff_range)
-    if report is not None:
-        return report
-
-    draw = _sampler(random.Random(seed), coeff_range)
-    size = dim * len(identity.free_vars)
-    from_ints = BACKENDS[backend].from_ints
-
-    def samples():
-        for _ in range(trials):
-            ints = draw(size)
-            yield tuple([from_ints(ints[i:i + dim]) for i in range(0, size, dim)])
-
-    return _run_check(identity, samples(), dim, backend, tolerance, seed)
+    return next(check_identities((identity,), dim, backend, trials, seed, coeff_range,
+                                 tolerance))
 
 
 def check_identity_basis(identity, dim: int = 8, backend: str = EXACT,
@@ -731,12 +796,11 @@ def check_identity_basis(identity, dim: int = 8, backend: str = EXACT,
     For low-degree polynomial identities this complements the randomized
     check; `seed` is only recorded in the report.
     """
-    identity, report = _prepare(identity, dim, backend, tolerance, seed)
-    if report is not None:
-        return report
-    bases = [basis(dim, k, backend).coeffs for k in range(dim)]
-    samples = itertools.product(bases, repeat=len(identity.free_vars))
-    return _run_check(identity, samples, dim, backend, tolerance, seed)
+    def samples(count):
+        bases = [basis(dim, k, backend).coeffs for k in range(dim)]
+        return itertools.product(bases, repeat=count)
+
+    return next(_checks((identity,), samples, dim, backend, tolerance, seed))
 
 
 # ---------------------------------------------------------------------------

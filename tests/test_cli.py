@@ -188,6 +188,25 @@ def test_decompose_huge_exponent_rounds_as_before(backend, coeff, printed):
     assert result.stdout.startswith(f"u1             = {printed}\n")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+@pytest.mark.parametrize("backend,message", [
+    ("exact", "has more than"),
+    ("binary64", "is beyond the binary64 range"),
+])
+@pytest.mark.parametrize("coeff", ["1" * 5000, "-" + "9" * 4301, "1" * 5000 + "/3", "x" * 5000])
+def test_decompose_long_coefficient_gets_a_short_error(backend, message, coeff):
+    result = run_cli("decompose", "--backend", backend, "--dim", "1", "--", coeff, "1", "1",
+                     timeout=30)
+    assert result.returncode == 3
+    assert _one_error_line(result.stderr)
+    assert len(result.stderr) < 120
+    assert f"({len(coeff)} characters)" in result.stderr
+    if coeff.lstrip("-").isdigit():
+        assert message in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("coeff", ["1e_10000000", "1..5e10000000", "e10000000", "1e10000000e1"])
 def test_decompose_malformed_huge_exponent(coeff):
     result = run_cli("decompose", "--dim", "1", "--", coeff, "1", "1", timeout=30)

@@ -137,6 +137,35 @@ def test_past_the_digit_limit_binary64_rounds_as_fraction(text):
         str(Fraction(text))
 
 
+# A run of digits longer than int() converts: Fraction(text) would raise
+# Python's own conversion error, which names no digit limit.
+LONG = "1" * 5000
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("text", [LONG, "-" + LONG, " +" + LONG + " "])
+def test_long_digit_strings_are_past_the_digit_limit(text):
+    with pytest.raises(DigitsError):
+        hnum([text])
+    with pytest.raises(OverflowError):  # as "1e4999" does
+        hnum([text], BINARY64)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("backend", [EXACT, BINARY64])
+def test_leading_zeros_do_not_count_as_digits(backend):
+    assert hnum(["0" * 5000 + "7", "-" + "0" * 5000], backend).coeffs == (7, 0)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("backend", [EXACT, BINARY64])
+@pytest.mark.parametrize("text", [LONG + "/3", "3/" + LONG, "0." + LONG, "1e" + LONG, LONG + "x"])
+def test_other_long_digit_runs_are_digits_errors(backend, text):
+    with pytest.raises(DigitsError) as err:
+        hnum([text], backend)
+    assert len(str(err.value)) < 100
+
+
 def test_embed_zero_pads():
     u = hnum([1, 2, 3, 4])
     assert embed(u, 8).coeffs == (1, 2, 3, 4, 0, 0, 0, 0)

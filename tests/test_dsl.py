@@ -18,6 +18,7 @@ from triprod import (
     acomm3,
     assoc3,
     basis,
+    check_identities,
     check_identity,
     check_identity_basis,
     conj,
@@ -34,8 +35,10 @@ from triprod import (
     scale,
 )
 from triprod import core
+from triprod import dsl
 from triprod.dsl import (
     FUNCTIONS,
+    GROUP_SIZE,
     MAX_DEPTH,
     Add,
     Basis,
@@ -426,7 +429,7 @@ def test_deviation_keeps_a_nan_in_any_place():
     assert _deviation((0.0, 5.0), (1.0, 2.0)) == 3.0
     # Only the first trial overflows (inf - inf); later, finite ones keep its NaN.
     samples = [((x,),) for x in (1e300, 1.0, 3.0)]
-    report = _run_check(parse("u1*u1 == u1*u1 + u1 - u1"), samples, 1, BINARY64, 1e-9, 0)
+    (report,) = _run_check([parse("u1*u1 == u1*u1 + u1 - u1")], samples, 1, BINARY64, 1e-9, 0)
     assert report.failures == 1
     assert report.max_deviation != report.max_deviation
 
@@ -495,6 +498,102 @@ def test_shared_products_are_computed_once(monkeypatch):
     for line in builtin_lines(8):
         check_identity(line, dim=8, trials=1)
     assert len(calls) == 276
+
+
+def test_suite_lines_checked_together_share_products(monkeypatch):
+    # The dim-8 suite's lines fall into four groups by free-variable count,
+    # each one generated function: 74 distinct products per trial, not 276.
+    calls = []
+    kernel = core._KERNELS[8]
+
+    def counted(a, b):
+        calls.append(None)
+        return kernel(a, b)
+
+    monkeypatch.setitem(core._KERNELS, 8, counted)
+    reports = list(check_identities(builtin_lines(8), dim=8, trials=1))
+    assert len(calls) == 74
+    assert [r.status for r in reports] == ["PASS"] * len(builtin_lines(8))
+
+
+def _reprs(reports):
+    # repr tells 0 from 0.0 and shows a NaN, which == on reports does not.
+    return [repr(r) for r in reports]
+
+
+MIXED = [
+    "u1 == u1 +",  # parse error
+    "u1*u2 == u2*u1",  # fails at dims 4 and 8
+    "i0 == i0",  # no variables
+    "e7*e7 == -i0",  # parse error at dim 4
+    "(u1*u2)*u3 == u1*(u2*u3)",
+    "inner(cross3(u1,u2,u3),u4) == -inner(cross3(u4,u2,u3),u1)",
+    "u1*(u1*u2) == (u1*u1)*u2",
+    "normsq(u1*u2) == normsq(u1)*normsq(u2)",
+    "(u1*u2)*(u3*u4) == ((u1*u2)*u3)*u4",
+    "1/2*(u2 + u1) == acomm(u1, i0) + 0*u2 + 1/2*u2",
+    "u1 == u2",
+    "2 == 1 + 1",
+    "u1 == conj(",  # parse error
+]
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("backend,tolerance", [(EXACT, None), (BINARY64, 1e-9)])
+def test_checking_together_reports_as_one_by_one(dim, backend, tolerance):
+    kw = dict(dim=dim, backend=backend, trials=20, seed=7, coeff_range=9, tolerance=tolerance)
+    for lines in (builtin_lines(dim), MIXED):
+        together = list(check_identities(lines, **kw))
+        assert _reprs(together) == _reprs([check_identity(line, **kw) for line in lines])
+    statuses = {r.status for r in together}
+    assert statuses == {"PASS", "FAIL", "PARSE_ERROR"}
+
+
+def test_checking_together_keeps_each_lines_nan():
+    # Coefficients near 1e200 overflow products to inf, and inf - inf is NaN
+    # in one line's deviation, while lines on the same samples stay finite.
+    kw = dict(dim=8, backend=BINARY64, trials=10, coeff_range=10**200, tolerance=1e-9)
+    lines = ["u1*u2 == u2*u1", "u1 + u2 == u2 + u1", "u1*u2 == u1*u2", "u1 - u2 == u1 - u2"]
+    together = list(check_identities(lines, **kw))
+    assert _reprs(together) == _reprs([check_identity(line, **kw) for line in lines])
+    devs = [r.max_deviation for r in together]
+    assert devs[0] != devs[0] and devs[2] != devs[2]
+    assert devs[1] == devs[3] == 0.0
+    # Only the first trial overflows; the first line keeps its NaN, and the
+    # second, on the same samples, never sees it.
+    samples = [((x,),) for x in (1e300, 1.0, 3.0)]
+    first, second = _run_check([parse("u1*u1 == u1*u1 + u1 - u1"), parse("u1 == u1 + u1 - u1")],
+                               samples, 1, BINARY64, 1e-9, 0)
+    assert first.failures == 1 and first.max_deviation != first.max_deviation
+    assert (second.failures, second.max_deviation) == (0, 0.0)
+
+
+def test_groups_are_capped_and_checked_when_due(monkeypatch):
+    made = []
+    generate = dsl._generate
+
+    def counted(exprs, names, dim, backend):
+        made.append(len(exprs) // 2)
+        return generate(exprs, names, dim, backend)
+
+    monkeypatch.setattr(dsl, "_generate", counted)
+    lines = [f"{k + 1}*u1 == u1 + {k}*u1" for k in range(GROUP_SIZE + 1)]
+    assert all(r.status == "PASS" for r in check_identities(lines, dim=2, trials=2))
+    assert made == [GROUP_SIZE, 1]
+    # A group's function is made when its first line is due, not before.
+    made.clear()
+    reports = check_identities(["u1 == u1", "u1*u2 == u1*u2", "u2 == u2"], dim=2, trials=2)
+    next(reports)
+    assert made == [2]
+    assert [r.status for r in reports] == ["PASS", "PASS"]
+    assert made == [2, 1]
+
+
+def test_check_identities_refuses_bad_counts_at_once():
+    with pytest.raises(ValueError, match="trials must be an int"):
+        check_identities(["u1 == u1"], trials=0)
+    with pytest.raises(ValueError, match="coeff_range must be an int"):
+        check_identities(["u1 == u1"], coeff_range=-1)
 
 
 @pytest.mark.parametrize("text,status", [
