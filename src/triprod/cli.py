@@ -242,6 +242,11 @@ def run_table(cfg: RunConfig, out=None) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is malformed input: one line, exit 3
+        self.exit(3, f"error: {' '.join(message.splitlines())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--dim", type=int, choices=list(DIMS), default=8,
@@ -259,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", dest="fmt", choices=["text", "json"], default="text",
                         help="output format (default text)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="triprod",
         description="Check hypercomplex identities and decompose triple products.",
     )

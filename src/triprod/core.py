@@ -19,10 +19,11 @@ a second way, from basis indices, and shares no code with this path on purpose;
 their agreement is the differential test of both.
 
 Two scalar backends are supported, each a scalar ring in the `BACKENDS`
-table, which holds all that depends on the backend.  The "exact" ring keeps
-coefficients as rationals (int or Fraction), so identities are checked with
+table, which holds all that depends on the backend, down to a ring's
+`compare`, which decides whether the two sides of a trial differ.  The
+"exact" ring keeps coefficients as rationals (int or Fraction), compared with
 exact equality.  The "binary64" ring keeps float coefficients, compared
-within a tolerance (`allclose`), never with `==`; a deviation that is not
+within a tolerance (as `allclose`), never with `==`; a deviation that is not
 finite, from an overflow, always differs.  The exact ring's `scale`, which
 `scale` and the DSL's generated functions call, keeps integer coefficients
 as ints wherever the product by a rational is integral, so halving an even
@@ -162,8 +163,12 @@ class _Exact:
         return True
 
     @staticmethod
-    def differs(dev, tolerance, inputs) -> bool:
-        return dev != 0
+    def compare(lhs, rhs, tolerance, inputs, worst):
+        # Equal sides pass at once; unequal ones fold the largest |x - y| in.
+        if lhs == rhs:
+            return worst, False
+        pairs = zip(lhs, rhs) if isinstance(lhs, tuple) else [(lhs, rhs)]
+        return max(worst, *[abs(x - y) for x, y in pairs]), True
 
 
 class _Binary64:
@@ -191,20 +196,32 @@ class _Binary64:
     finite = math.isfinite
 
     @staticmethod
-    def differs(dev, tolerance, inputs) -> bool:
+    def compare(lhs, rhs, tolerance, inputs, worst):
+        # The largest |x - y|, or a NaN wherever one occurs (`max` would keep
+        # it only in first place).  Never `lhs == rhs`: inf == inf.
+        dev = 0
+        for x, y in zip(lhs, rhs) if isinstance(lhs, tuple) else [(lhs, rhs)]:
+            d = abs(x - y)
+            if not d <= dev:  # larger, or NaN
+                dev = d
+                if d != d:
+                    break
+        if not dev <= worst and worst == worst:  # a NaN, once in, stays
+            worst = dev
         # An overflowed trial has an infinite or NaN deviation; NaN compares
         # false with everything, so `dev > bound` alone would pass it.
         if not math.isfinite(dev):
-            return True
+            return worst, True
         if dev <= ABS_TOL:  # within the bound's floor, whatever the inputs
-            return False
+            return worst, False
         scale = max((abs(c) for u in inputs for c in u), default=0.0)
-        return dev > max(ABS_TOL, tolerance * scale)
+        return worst, dev > max(ABS_TOL, tolerance * scale)
 
 
 # Backend name -> scalar ring (a class used as a namespace).  `scale(s, xs)`
-# multiplies coefficients `xs` by the ring scalar `s`; `differs` says whether
-# a trial whose sides are `dev` apart, on coefficient tuples `inputs`, fails.
+# multiplies coefficients `xs` by the ring scalar `s`; `compare(lhs, rhs,
+# tolerance, inputs, worst)` decides a trial on coefficient tuples `inputs`:
+# `(worst, failed)`, the largest deviation yet and whether the sides differ.
 BACKENDS = {EXACT: _Exact, BINARY64: _Binary64}
 
 

@@ -35,10 +35,10 @@ identities with equally many free variables see the same samples:
 `check_identities` checks those among each GROUP_SIZE lines together, with one
 function, and whatever they share is computed once per trial.  Each report is
 the one the identity gets when checked alone, byte for byte; they arrive in
-bursts, a group's at once.  The ring also decides whether the two sides of a
-trial differ: exactly on the exact backend, beyond the tolerance or not finite
-on binary64.  A PASS is a property-check verdict ("no counterexample found"),
-not a proof.
+bursts, a group's at once.  The ring's `compare` decides each trial, as no
+scalar comparison is made here: whether the sides differ, exactly on the exact
+backend, beyond the tolerance or not finite on binary64, and by how much.  A
+PASS is a property-check verdict ("no counterexample found"), not a proof.
 """
 
 from __future__ import annotations
@@ -607,25 +607,6 @@ class CheckReport(Record):
     _defaults = {"message": ""}
 
 
-def _deviation(left, right):
-    """Largest absolute difference between two same-sort values, coefficient
-    tuples or scalars.
-
-    A NaN difference is the result wherever it occurs; `max` would keep it
-    only in first place.
-    """
-    if not isinstance(left, tuple):
-        return abs(left - right)
-    worst = 0
-    for x, y in zip(left, right):
-        d = abs(x - y)
-        if not d <= worst:  # larger, or NaN
-            if d != d:
-                return d
-            worst = d
-    return worst
-
-
 def _run_check(identities, samples, dim, backend, tolerance, seed) -> list:
     """Reports for identities with equally many free variables, checked
     together: on each sample, a tuple of coefficient tuples bound to each
@@ -635,7 +616,7 @@ def _run_check(identities, samples, dim, backend, tolerance, seed) -> list:
     names = [identity.free_vars for identity in identities for _ in (0, 1)]
     exprs = [side for identity in identities for side in (identity.lhs, identity.rhs)]
     sides = _generate(exprs, names, dim, backend)
-    differs = ring.differs
+    compare = ring.compare
     count = len(identities)
     trials = 0
     failures = [0] * count
@@ -645,11 +626,8 @@ def _run_check(identities, samples, dim, backend, tolerance, seed) -> list:
         trials += 1
         values = iter(sides(*args))
         for k, lhs, rhs in zip(range(count), values, values):
-            dev = _deviation(lhs, rhs)
-            max_dev = max_devs[k]
-            if not dev <= max_dev and max_dev == max_dev:  # a NaN, once in, stays
-                max_devs[k] = dev
-            if differs(dev, tolerance, args):
+            max_devs[k], failed = compare(lhs, rhs, tolerance, args, max_devs[k])
+            if failed:
                 failures[k] += 1
                 if witnesses[k] is None:
                     witnesses[k] = {name: HNum(dim, a, backend)
@@ -664,14 +642,12 @@ def _run_check(identities, samples, dim, backend, tolerance, seed) -> list:
     ]
 
 
-def _prepare(identity, dim: int, backend: str, tolerance, seed, coeff_range: int = 0):
-    """`(identity, None)`, parsed if it was text, or `(None, report)` with a
-    PARSE_ERROR report; ValueError for options the backend does not take."""
+def _prepare(identity, dim: int, backend: str, seed):
+    """`(identity, None)`, parsed if it was text, or `(None, a PARSE_ERROR report)`."""
     text = identity if isinstance(identity, str) else identity.text
     try:
         if isinstance(identity, str):
             identity = parse(identity)
-        check_options(backend, tolerance, coeff_range)
         coerce = BACKENDS[backend].coerce
         for node in itertools.chain(_walk(identity.lhs), _walk(identity.rhs)):
             if isinstance(node, Basis) and node.index >= dim:
@@ -717,15 +693,14 @@ def _sampler(rng: random.Random, bound: int):
     return draw
 
 
-def _checks(identities, samples, dim, backend, tolerance, seed, coeff_range=0):
+def _checks(identities, samples, dim, backend, tolerance, seed):
     """Yield a report per identity, in order.  The identities are taken
     GROUP_SIZE at a time; of those, the ones with equally many free
     variables, `count`, are checked together by `_run_check` on
     `samples(count)`, when the first of them is due."""
     identities = iter(identities)
     while batch := list(itertools.islice(identities, GROUP_SIZE)):
-        prepared = [_prepare(identity, dim, backend, tolerance, seed, coeff_range)
-                    for identity in batch]
+        prepared = [_prepare(identity, dim, backend, seed) for identity in batch]
         groups = {}  # free-variable count -> the indices of its identities
         for index, (identity, _) in enumerate(prepared):
             if identity is not None:
@@ -753,12 +728,13 @@ def check_identities(identities, dim: int = 8, backend: str = EXACT, trials: int
     checked together, and what they share is computed once per trial.  The
     reports are those `check_identity` gives, byte for byte, but they arrive
     in bursts: a group's all at once, when its first is due.  ValueError at
-    once where `check_identity` refuses `trials` or `coeff_range`.
+    once where `check_identity` refuses the options, whatever the identities.
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     if not isinstance(coeff_range, int) or coeff_range < 0:
         raise ValueError(f"coeff_range must be an int >= 0, got {coeff_range!r}")
+    check_options(backend, tolerance, coeff_range)
 
     def samples(count):
         from_ints = BACKENDS[backend].from_ints
@@ -768,7 +744,7 @@ def check_identities(identities, dim: int = 8, backend: str = EXACT, trials: int
             ints = draw(size)
             yield tuple([from_ints(ints[i:i + dim]) for i in range(0, size, dim)])
 
-    return _checks(identities, samples, dim, backend, tolerance, seed, coeff_range)
+    return _checks(identities, samples, dim, backend, tolerance, seed)
 
 
 def check_identity(identity, dim: int = 8, backend: str = EXACT, trials: int = 1000,
@@ -781,8 +757,8 @@ def check_identity(identity, dim: int = 8, backend: str = EXACT, trials: int = 1
     coeff_range) inputs produce identical reports.  `identity` may be an
     Identity or a source string; parse failures yield a PARSE_ERROR report
     rather than raising.  ValueError if `trials` or `coeff_range` is not an
-    int, `trials` is below 1, or `coeff_range` is negative or beyond what the
-    backend's scalars hold.
+    int, `trials` is below 1, `coeff_range` is negative or beyond what the
+    backend's scalars hold, or the backend or tolerance is refused.
     """
     return next(check_identities((identity,), dim, backend, trials, seed, coeff_range,
                                  tolerance))
@@ -794,8 +770,10 @@ def check_identity_basis(identity, dim: int = 8, backend: str = EXACT,
     e0..e(dim-1) to every free variable, dim**nvars trials in total.
 
     For low-degree polynomial identities this complements the randomized
-    check; `seed` is only recorded in the report.
+    check; `seed` is only recorded in the report.  ValueError at once for
+    options the backend does not take.
     """
+    check_options(backend, tolerance)
     def samples(count):
         bases = [basis(dim, k, backend).coeffs for k in range(dim)]
         return itertools.product(bases, repeat=count)

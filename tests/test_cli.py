@@ -496,3 +496,29 @@ def test_any_argv_exits_0_to_3_without_traceback(argv):
             code = exit_.code
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), argv
+
+
+# argparse's own wording is not pinned: it changes from Python 3.12 on.
+@pytest.mark.parametrize("argv", [
+    ["suite", "--dim", "3"],
+    ["suite", "--trials", "x"],
+    ["decompose", "1", "2"],
+    [],
+    ["suite", "--tolerance"],
+    ["nope"],
+    ["suite", "one\nword too many"],
+])
+def test_usage_errors_exit_3_with_one_error_line(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 3
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert result.stdout == ""
+
+
+def test_help_still_exits_0():
+    result = run_cli("suite", "-h")
+    assert result.returncode == 0
+    assert result.stderr == "" and "--coeff-range" in result.stdout

@@ -342,7 +342,11 @@ def test_binary64_sums_run_left_to_right():
 def test_binary64_differs_only_beyond_the_bound():
     # The bound is max(ABS_TOL, tol * largest input magnitude); a deviation
     # within ABS_TOL passes whatever the inputs, one that is not finite fails.
-    differs = BACKENDS[BINARY64].differs
+    compare = BACKENDS[BINARY64].compare
+
+    def differs(dev, tolerance, inputs):  # a trial whose sides are `dev` apart
+        return compare((dev,), (0.0,), tolerance, inputs, 0.0)[1]
+
     above = math.nextafter(ABS_TOL, math.inf)
     small = [(1e-4, -2e-4), (5e-5,)]  # tol * scale = 2e-13, below ABS_TOL
     large = [(1.0, -2e6), (0.5,)]  # tol * scale = 2e-3, above ABS_TOL
@@ -358,9 +362,37 @@ def test_binary64_differs_only_beyond_the_bound():
         assert differs(dev, 1e-9, [(1e300,)])
 
 
+def test_compare_decides_a_trial_on_either_ring():
+    exact = BACKENDS[EXACT].compare
+    # Equal sides, tuples or scalars, pass and leave `worst` as it was.
+    worst = Fraction(7, 2)
+    for lhs, rhs in [((1, Fraction(1, 2), 0), (1, Fraction(1, 2), 0)), ((0, 2), (0, Fraction(2))),
+                     (Fraction(3, 4), Fraction(3, 4)), (5, 5)]:
+        result = exact(lhs, rhs, None, [(1,)], worst)
+        assert result == (worst, False) and result[0] is worst
+    # Unequal sides fail with the largest absolute difference, or `worst` if larger.
+    assert exact((1, Fraction(1, 2), -3), (1, 2, 0), None, [], 0) == (3, True)
+    half = Fraction(1, 2)
+    assert exact((Fraction(1, 3), 0, 1), (0, -half, 1), None, [], 0) == (half, True)
+    assert exact(Fraction(1, 3), 1, None, [], 0) == (Fraction(2, 3), True)
+    assert exact((1, 0), (2, 0), None, [], Fraction(5, 2)) == (Fraction(5, 2), True)
+    assert exact((1, 0), (4, 0), None, [], Fraction(5, 2)) == (3, True)
+    binary64 = BACKENDS[BINARY64].compare
+    assert binary64((1.0, 2.0), (1.0, 2.0), 1e-9, [(1.0, 2.0)], 0.5) == (0.5, False)
+    assert binary64(2.0, 5.0, 1e-9, [(5.0,)], 0.5) == (3.0, True)
+    # inf == inf, but an overflowed trial fails, with a NaN deviation.
+    worst, failed = binary64((math.inf,), (math.inf,), 1e-9, [(1e300,)], 0.0)
+    assert failed and worst != worst
+    # Once `worst` is NaN, a later finite deviation does not replace it.
+    assert binary64((5.0, 1.0), (1.0, 1.0), 1e-9, [(5.0, 1.0)], 0.0) == (4.0, True)
+    worst, failed = binary64((5.0, 1.0), (1.0, 1.0), 1e-9, [(5.0, 1.0)], math.nan)
+    assert failed and worst != worst
+
+
 def test_backend_switches_live_only_in_core():
     # What depends on the backend is looked up in core.BACKENDS; no other
-    # module compares a backend name with == or !=.
+    # module compares a backend name with == or !=, and `dsl` leaves every
+    # scalar comparison to its ring's `compare`: it calls no `abs`.
     src = Path(triprod.__file__).parent
     names = {"EXACT", "BINARY64"}
     values = {EXACT, BINARY64}
@@ -376,6 +408,9 @@ def test_backend_switches_live_only_in_core():
     for module in ("dsl", "cli", "decomp", "oracle", "suite"):
         tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree):
+            is_abs = isinstance(node, ast.Call) and getattr(node.func, "id", "") == "abs"
+            if module == "dsl" and is_abs:
+                found.append(f"dsl.py:{node.lineno}: abs")
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]

@@ -49,7 +49,6 @@ from triprod.dsl import (
     Sub,
     Unit,
     Var,
-    _deviation,
     _run_check,
     report_json_obj,
 )
@@ -425,6 +424,11 @@ def test_deviation_keeps_a_nan_in_any_place():
     nan = float("nan")
     a = (0.0, 1.0, nan, 2.0)
     b = (0.0, 0.0, 0.0, 0.0)
+    compare = core.BACKENDS[BINARY64].compare
+
+    def _deviation(left, right):  # the largest deviation of one trial
+        return compare(left, right, 1e-9, [left, right], 0.0)[0]
+
     assert _deviation(a, b) != _deviation(a, b)
     assert _deviation((0.0, 5.0), (1.0, 2.0)) == 3.0
     # Only the first trial overflows (inf - inf); later, finite ones keep its NaN.
@@ -594,6 +598,22 @@ def test_check_identities_refuses_bad_counts_at_once():
         check_identities(["u1 == u1"], trials=0)
     with pytest.raises(ValueError, match="coeff_range must be an int"):
         check_identities(["u1 == u1"], coeff_range=-1)
+    # Options are refused when the check is called, whatever the identity
+    # text: a generator, or a PARSE_ERROR report, would hide them.
+    for text in ("u1 == u1", "u1 =="):
+        for check, kw, match in [
+            (check_identities, dict(backend=BINARY64, tolerance=1e-9, coeff_range=10**400),
+             "too large"),
+            (check_identities, dict(backend="nope"), "unknown backend"),
+            (check_identities, dict(tolerance=1e-9), "tolerance applies only"),
+            (check_identities, dict(backend=BINARY64), "require a tolerance"),
+            (check_identity, dict(tolerance=1e-9), "tolerance applies only"),
+            (check_identity_basis, dict(tolerance=1e-9), "tolerance applies only"),
+            (check_identity_basis, dict(backend="nope"), "unknown backend"),
+            (check_identity_basis, dict(backend=BINARY64, tolerance=0.0), "positive and finite"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                check(text if check is not check_identities else [text], **kw)
 
 
 @pytest.mark.parametrize("text,status", [
