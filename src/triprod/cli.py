@@ -34,8 +34,8 @@ from .core import (
     HNum,
     Record,
     brief,
+    check_dim,
     check_options,
-    coeff_str,
     coerce_scalar,
     inner,
     norm_sq,
@@ -57,8 +57,7 @@ class RunConfig(Record):
     def _check(self):
         # Runs while the fields can still be set, so it can fill in the
         # binary64 default tolerance.
-        if self.dim not in DIMS:
-            raise ValueError(f"dim must be one of {DIMS}")
+        check_dim(self.dim)
         ring = scalar_ring(self.backend)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -174,66 +173,45 @@ def _render_decomposition(cfg: RunConfig, inputs, parts) -> str:
     """The whole `decompose` report, rendered before any of it is written;
     OverflowError if a result is not finite."""
     u1, u2, u3 = inputs
-    lengths = (
-        norm_sq(parts.anticommutator),
-        norm_sq(parts.cross),
-        norm_sq(parts.associator),
-    )
-    # Added left to right, never with sum(): see core.inner.
-    length_sum = lengths[0] + lengths[1] + lengths[2]
-    norm_product = norm_sq(u1) * norm_sq(u2) * norm_sq(u3)
-    inners = (
-        inner(parts.anticommutator, parts.cross),
-        inner(parts.anticommutator, parts.associator),
-        inner(parts.cross, parts.associator),
-    )
+    a, c, s = parts.anticommutator, parts.cross, parts.associator
+    lengths = (norm_sq(a), norm_sq(c), norm_sq(s))
+    # Each value once, as (text label, JSON key, value): a vector's
+    # coefficient tuple, or a scalar.  "group.name" nests a JSON key.
+    rows = [
+        ("u1            ", "u1", u1.coeffs),
+        ("u2            ", "u2", u2.coeffs),
+        ("u3            ", "u3", u3.coeffs),
+        ("(u1*conj(u2))*u3", "product", parts.product.coeffs),
+        ("anticommutator", "anticommutator", a.coeffs),
+        ("cross         ", "cross", c.coeffs),
+        ("associator    ", "associator", s.coeffs),
+        ("inner(anticommutator, cross)     ", "inner_products.anticommutator_cross",
+         inner(a, c)),
+        ("inner(anticommutator, associator)", "inner_products.anticommutator_associator",
+         inner(a, s)),
+        ("inner(cross, associator)         ", "inner_products.cross_associator", inner(c, s)),
+        ("|anticommutator|^2", "squared_lengths.anticommutator", lengths[0]),
+        ("|cross|^2         ", "squared_lengths.cross", lengths[1]),
+        ("|associator|^2    ", "squared_lengths.associator", lengths[2]),
+        # Added left to right, never with sum(): see core.inner.
+        ("sum of squared lengths           ", "squared_length_sum",
+         lengths[0] + lengths[1] + lengths[2]),
+        ("normsq(u1)*normsq(u2)*normsq(u3) ", "norm_product",
+         norm_sq(u1) * norm_sq(u2) * norm_sq(u3)),
+    ]
     finite = BACKENDS[cfg.backend].finite
-    results = (*parts.product.coeffs, *parts.anticommutator.coeffs, *parts.cross.coeffs,
-               *parts.associator.coeffs, *inners, *lengths, length_sum, norm_product)
-    if not all(map(finite, results)):
+    if not all(finite(x) for _, _, v in rows for x in (v if isinstance(v, tuple) else (v,))):
         raise OverflowError(f"a result is beyond the {cfg.backend} range and cannot be printed")
-    if cfg.fmt == "json":
-        obj = {
-            "dim": cfg.dim,
-            "backend": cfg.backend,
-            "u1": [scalar_str(c) for c in u1.coeffs],
-            "u2": [scalar_str(c) for c in u2.coeffs],
-            "u3": [scalar_str(c) for c in u3.coeffs],
-            "product": [scalar_str(c) for c in parts.product.coeffs],
-            "anticommutator": [scalar_str(c) for c in parts.anticommutator.coeffs],
-            "cross": [scalar_str(c) for c in parts.cross.coeffs],
-            "associator": [scalar_str(c) for c in parts.associator.coeffs],
-            "inner_products": {
-                "anticommutator_cross": scalar_str(inners[0]),
-                "anticommutator_associator": scalar_str(inners[1]),
-                "cross_associator": scalar_str(inners[2]),
-            },
-            "squared_lengths": {
-                "anticommutator": scalar_str(lengths[0]),
-                "cross": scalar_str(lengths[1]),
-                "associator": scalar_str(lengths[2]),
-            },
-            "squared_length_sum": scalar_str(length_sum),
-            "norm_product": scalar_str(norm_product),
-        }
-        return json.dumps(obj) + "\n"
-    return (
-        f"u1             = {coeff_str(u1)}\n"
-        f"u2             = {coeff_str(u2)}\n"
-        f"u3             = {coeff_str(u3)}\n"
-        f"(u1*conj(u2))*u3 = {coeff_str(parts.product)}\n"
-        f"anticommutator = {coeff_str(parts.anticommutator)}\n"
-        f"cross          = {coeff_str(parts.cross)}\n"
-        f"associator     = {coeff_str(parts.associator)}\n"
-        f"inner(anticommutator, cross)      = {scalar_str(inners[0])}\n"
-        f"inner(anticommutator, associator) = {scalar_str(inners[1])}\n"
-        f"inner(cross, associator)          = {scalar_str(inners[2])}\n"
-        f"|anticommutator|^2 = {scalar_str(lengths[0])}\n"
-        f"|cross|^2          = {scalar_str(lengths[1])}\n"
-        f"|associator|^2     = {scalar_str(lengths[2])}\n"
-        f"sum of squared lengths            = {scalar_str(length_sum)}\n"
-        f"normsq(u1)*normsq(u2)*normsq(u3)  = {scalar_str(norm_product)}\n"
-    )
+    shown = [[scalar_str(x) for x in v] if isinstance(v, tuple) else scalar_str(v)
+             for _, _, v in rows]
+    if cfg.fmt == "text":
+        return "".join(f"{label} = {','.join(text) if isinstance(text, list) else text}\n"
+                       for (label, _, _), text in zip(rows, shown))
+    obj = {"dim": cfg.dim, "backend": cfg.backend}
+    for (_, key, _), text in zip(rows, shown):
+        group, _, name = key.rpartition(".")
+        (obj.setdefault(group, {}) if group else obj)[name] = text
+    return json.dumps(obj) + "\n"
 
 
 def run_table(cfg: RunConfig, out=None) -> int:

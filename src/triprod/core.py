@@ -233,6 +233,12 @@ def scalar_ring(backend: str):
         raise ValueError(f"unknown backend {backend!r}") from None
 
 
+def check_dim(dim) -> None:
+    """The dimension rule: ValueError unless `dim` is an int in DIMS."""
+    if type(dim) is not int or dim not in DIMS:
+        raise ValueError(f"dimension must be one of {DIMS}, got {dim}")
+
+
 def check_options(backend: str, tolerance, coeff_range: int = 0) -> None:
     """The rule every check's options follow, ValueError where they break it:
     samples up to `coeff_range` must be scalars of `backend`, and a backend
@@ -343,8 +349,7 @@ class HNum(Record):
     __slots__ = ("dim", "coeffs", "backend")
 
     def _check(self):
-        if self.dim not in DIMS:
-            raise ValueError(f"dimension must be one of {DIMS}, got {self.dim}")
+        check_dim(self.dim)
         if len(self.coeffs) != self.dim:
             raise ValueError(f"expected {self.dim} coefficients, got {len(self.coeffs)}")
         if self.backend not in BACKENDS:
@@ -403,8 +408,7 @@ def unit(dim: int, backend: str = EXACT) -> HNum:
 
 def basis(dim: int, k: int, backend: str = EXACT) -> HNum:
     """Canonical basis element e_k (e0 is the unit i0)."""
-    if dim not in DIMS:
-        raise ValueError(f"dimension must be one of {DIMS}, got {dim}")
+    check_dim(dim)
     if not 0 <= k < dim:
         raise ValueError(f"basis index {k} out of range for dimension {dim}")
     ring = scalar_ring(backend)

@@ -21,12 +21,12 @@ Each part's squared length has a closed form in the inner products of the
 arguments, via 3x3 Gram determinants; the three squared lengths sum to
 (u1,u1)(u2,u2)(u3,u3).
 
-acomm3, cross3 and assoc3 are the definitions; together they make 14
-products, of which 8 differ.  decompose_triple, the closed forms and
-okubo_rhs are stated in the `dsl` language (`_FORMS`) and each runs the
-function `dsl` generates from that statement, made on first use per dim and
-backend: it computes every distinct operation once, in the definitions'
-order, so results equal the definitions' bit for bit (as tested).
+The rule: the definitions acomm2, cross2, acomm3, cross3 and assoc3 are
+`HNum` code, which the tests and `dsl.FUNCTIONS` are checked against;
+everything derived from them is `dsl` text in `_FORMS` and runs the function
+`dsl` generates from it, made on first use per dim and backend.  That
+function computes every distinct operation once, in the definitions' order,
+so results equal the definitions' bit for bit (as tested).
 
 Every function here is pure; inputs must share one dimension and backend.
 """
@@ -44,12 +44,9 @@ from .core import (
     _hnum,
     add,
     conj,
-    inner,
     mul,
-    real_coeff,
     scale,
     sub,
-    unit,
 )
 
 _HALF = Fraction(1, 2)
@@ -87,22 +84,6 @@ def cross2(u1: HNum, u2: HNum) -> HNum:
     return _half(sub(mul(u1, u2), mul(u2, u1)))
 
 
-def expand_product2(u1: HNum, u2: HNum) -> HNum:
-    """The pair product rebuilt from inner products plus the commutator.
-
-    (u1,i0)*u2 + (u2,i0)*u1 - (u1,u2)*i0 + cross2(u1,u2); equals mul(u1, u2).
-    """
-    i0 = unit(u1.dim, u1.backend)
-    out = scale(real_coeff(u1), u2)
-    out = add(out, scale(real_coeff(u2), u1))
-    out = sub(out, scale(inner(u1, u2), i0))
-    return add(out, cross2(u1, u2))
-
-
-def decompose_pair(u1: HNum, u2: HNum) -> PairDecomposition:
-    return PairDecomposition(acomm2(u1, u2), cross2(u1, u2), mul(u1, u2))
-
-
 def acomm3(u1: HNum, u2: HNum, u3: HNum) -> HNum:
     """Triple anticommutator ((u1*conj(u2))*u3 + (u3*conj(u2))*u1) / 2.
 
@@ -136,27 +117,6 @@ def assoc3(u1: HNum, u2: HNum, u3: HNum) -> HNum:
     return _half(sub(mul(mul(u1, c2), u3), mul(u1, mul(c2, u3))))
 
 
-def acomm3_closed(u1: HNum, u2: HNum, u3: HNum) -> HNum:
-    """Closed form of acomm3: (u1,u2)*u3 - (u1,u3)*u2 + (u2,u3)*u1."""
-    out = scale(inner(u1, u2), u3)
-    out = sub(out, scale(inner(u1, u3), u2))
-    return add(out, scale(inner(u2, u3), u1))
-
-
-def cross3_closed(u1: HNum, u2: HNum, u3: HNum) -> HNum:
-    """Closed form of cross3 as a combination of i0 and pair cross products.
-
-    ([u1,u2],u3)*i0 - (u1,i0)*[u2,u3] + (u2,i0)*[u1,u3] - (u3,i0)*[u1,u2]
-    with [a,b] = cross2(a,b).
-    """
-    i0 = unit(u1.dim, u1.backend)
-    c12 = cross2(u1, u2)
-    out = scale(inner(c12, u3), i0)
-    out = sub(out, scale(real_coeff(u1), cross2(u2, u3)))
-    out = add(out, scale(real_coeff(u2), cross2(u1, u3)))
-    return sub(out, scale(real_coeff(u3), c12))
-
-
 def _gram_det(x: str, y: str, z: str) -> str:
     """DSL text of det3(gram(x, y, z)), in `oracle.det3`'s cofactor order."""
     xx, xy, xz, yy, yz, zz = (f"inner({p}, {q})" for p, q in
@@ -170,9 +130,16 @@ _GRAM_IM_DET = _gram_det("im(u1)", "im(u2)", "im(u3)")
 _MIXED_PRODUCT = "inner(cross(u1, u2), u3)"
 _PARTS = ("acomm3(u1, u2, u3)", "cross3(u1, u2, u3)", "assoc(u1, u2, u3)")
 
-# Form -> the DSL expressions of its values, over arguments u1, u2, u3.
+# Form -> the DSL expressions of its values, over arguments u1, u2, u3 (a
+# pair form gets u2 again as u3, which its text never names).
 _FORMS = {
+    "decompose_pair": ("acomm(u1, u2)", "cross(u1, u2)", "u1*u2"),
+    "expand_product2": ("re(u1)*u2 + re(u2)*u1 - inner(u1, u2)*i0 + cross(u1, u2)",),
     "decompose_triple": (*_PARTS, "(u1*conj(u2))*u3"),
+    "acomm3_closed": ("inner(u1, u2)*u3 - inner(u1, u3)*u2 + inner(u2, u3)*u1",),
+    "cross3_closed": ("inner(cross(u1, u2), u3)*i0 - re(u1)*cross(u2, u3)"
+                      " + re(u2)*cross(u1, u3) - re(u3)*cross(u1, u2)",),
+    "mirror_product": ("u3*(conj(u2)*u1)",),
     "norm_sq_acomm3": (f"inner(u1, u1)*inner(u2, u2)*inner(u3, u3) - ({_GRAM_DET})",),
     "norm_sq_cross3": (f"{_MIXED_PRODUCT}*{_MIXED_PRODUCT} + ({_GRAM_DET}) - ({_GRAM_IM_DET})",),
     "norm_sq_assoc3": (f"({_GRAM_IM_DET}) - {_MIXED_PRODUCT}*{_MIXED_PRODUCT}",),
@@ -196,6 +163,41 @@ def _run(form: str, u1: HNum, u2: HNum, u3: HNum) -> tuple:
         names = [("u1", "u2", "u3")] * len(exprs)
         f = _FUNCS[key] = dsl._generate(exprs, names, u1.dim, u1.backend)
     return f(u1.coeffs, u2.coeffs, u3.coeffs)
+
+
+def _vector(form: str, u1: HNum, u2: HNum, u3: HNum) -> HNum:
+    """The one value of a vector-valued `form`, as an HNum."""
+    (t,) = _run(form, u1, u2, u3)
+    return _hnum(u1.dim, t, u1.backend)
+
+
+def decompose_pair(u1: HNum, u2: HNum) -> PairDecomposition:
+    """Split u1*u2 into acomm2 and cross2, from their 2 distinct products."""
+    dim, backend = u1.dim, u1.backend
+    return PairDecomposition(*[_hnum(dim, t, backend)
+                               for t in _run("decompose_pair", u1, u2, u2)])
+
+
+def expand_product2(u1: HNum, u2: HNum) -> HNum:
+    """The pair product rebuilt from inner products plus the commutator.
+
+    (u1,i0)*u2 + (u2,i0)*u1 - (u1,u2)*i0 + cross2(u1,u2); equals mul(u1, u2).
+    """
+    return _vector("expand_product2", u1, u2, u2)
+
+
+def acomm3_closed(u1: HNum, u2: HNum, u3: HNum) -> HNum:
+    """Closed form of acomm3: (u1,u2)*u3 - (u1,u3)*u2 + (u2,u3)*u1."""
+    return _vector("acomm3_closed", u1, u2, u3)
+
+
+def cross3_closed(u1: HNum, u2: HNum, u3: HNum) -> HNum:
+    """Closed form of cross3 as a combination of i0 and pair cross products.
+
+    ([u1,u2],u3)*i0 - (u1,i0)*[u2,u3] + (u2,i0)*[u1,u3] - (u3,i0)*[u1,u2]
+    with [a,b] = cross2(a,b).
+    """
+    return _vector("cross3_closed", u1, u2, u3)
 
 
 def decompose_triple(u1: HNum, u2: HNum, u3: HNum) -> TripleDecomposition:
@@ -238,7 +240,7 @@ def mirror_product(u1: HNum, u2: HNum, u3: HNum) -> HNum:
     conjugating all arguments fixes the anticommutator and the associator and
     flips the sign of the cross part.
     """
-    return mul(u3, mul(conj(u2), u1))
+    return _vector("mirror_product", u1, u2, u3)
 
 
 def okubo_rhs(u1: HNum, u2: HNum, u3: HNum) -> HNum:
@@ -248,5 +250,4 @@ def okubo_rhs(u1: HNum, u2: HNum, u3: HNum) -> HNum:
     mul(mul(u1, u2), u3); it restates the conjugated-center decomposition for
     an unconjugated central factor.
     """
-    (t,) = _run("okubo_rhs", u1, u2, u3)
-    return _hnum(u1.dim, t, u1.backend)
+    return _vector("okubo_rhs", u1, u2, u3)

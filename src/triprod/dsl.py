@@ -54,8 +54,10 @@ from .core import (
     HNum,
     Record,
     basis,
+    check_dim,
     check_options,
     coeff_str,
+    scalar_ring,
     scalar_str,
 )
 
@@ -575,8 +577,11 @@ def evaluate(expr: Expr, env: dict, dim: int, backend: str = EXACT):
 
     Multiplication follows source order; chains are evaluated left to right
     exactly as parsed.  All free variables must be bound in `env` to HNums of
-    the requested dimension and backend.
+    the requested dimension and backend.  ValueError for a dimension or
+    backend that does not exist.
     """
+    check_dim(dim)
+    scalar_ring(backend)
     names = _free_vars(expr)
     args = []
     for name in names:
@@ -734,6 +739,7 @@ def check_identities(identities, dim: int = 8, backend: str = EXACT, trials: int
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     if not isinstance(coeff_range, int) or coeff_range < 0:
         raise ValueError(f"coeff_range must be an int >= 0, got {coeff_range!r}")
+    check_dim(dim)
     check_options(backend, tolerance, coeff_range)
 
     def samples(count):
@@ -758,7 +764,7 @@ def check_identity(identity, dim: int = 8, backend: str = EXACT, trials: int = 1
     Identity or a source string; parse failures yield a PARSE_ERROR report
     rather than raising.  ValueError if `trials` or `coeff_range` is not an
     int, `trials` is below 1, `coeff_range` is negative or beyond what the
-    backend's scalars hold, or the backend or tolerance is refused.
+    backend's scalars hold, or the dimension, backend or tolerance is refused.
     """
     return next(check_identities((identity,), dim, backend, trials, seed, coeff_range,
                                  tolerance))
@@ -770,9 +776,10 @@ def check_identity_basis(identity, dim: int = 8, backend: str = EXACT,
     e0..e(dim-1) to every free variable, dim**nvars trials in total.
 
     For low-degree polynomial identities this complements the randomized
-    check; `seed` is only recorded in the report.  ValueError at once for
-    options the backend does not take.
+    check; `seed` is only recorded in the report.  ValueError at once for a
+    dimension outside DIMS or options the backend does not take.
     """
+    check_dim(dim)
     check_options(backend, tolerance)
     def samples(count):
         bases = [basis(dim, k, backend).coeffs for k in range(dim)]

@@ -11,12 +11,13 @@ Tables are generated, never hand-typed: published octonion tables differ by
 basis orientation, and a transcribed table that disagreed with `core.mul`
 would poison every downstream check.
 
-Also hosts the 3x3 Gram matrix helpers used by the squared-length formulas.
+Also hosts the 3x3 Gram matrix helpers, which serve only as the tests'
+reference for the squared-length formulas in `decomp`.
 """
 
 from __future__ import annotations
 
-from .core import DIMS, HNum, Record, Scalar, coerce_scalar, imaginary_part, inner
+from .core import HNum, Record, Scalar, check_dim, coerce_scalar, imaginary_part, inner
 
 
 def _basis_product(dim: int, i: int, j: int):
@@ -52,8 +53,7 @@ class StructureTable(Record):
 
 
 def build_table(dim: int) -> StructureTable:
-    if dim not in DIMS:
-        raise ValueError(f"dimension must be one of {DIMS}, got {dim}")
+    check_dim(dim)
     entries = tuple(
         tuple(_basis_product(dim, i, j) for j in range(dim)) for i in range(dim)
     )

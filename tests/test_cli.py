@@ -93,10 +93,10 @@ def test_suite_reports_are_pinned(backend, dim):
 
 # Suite samples are small integers, so binary64 suite arithmetic is mostly
 # exact and would hide a reordered float operation.  These rational inputs
-# round at nearly every step.  The digest pins the arguments, the product and
-# the three parts (the first seven lines), which only products, sums and
-# halvings make; the inner products and lengths after them go through the
-# built-in sum(), whose float rounding differs from Python 3.12 on.
+# round at nearly every step.  The first digest pins the arguments, the
+# product and the three parts (the first seven lines), which only products,
+# sums and halvings make; the second adds the inner products and lengths,
+# which are added left to right, as every supported Python prints them.
 ROUNDING_TRIPLE = (
     "1/3,-2/7,5/11,1/13,-17/19,23/29,-1/31,37/41",
     "3/5,1/9,-4/17,11/23,-7/27,13/31,1/37,-19/43",
@@ -116,6 +116,24 @@ def test_decompose_binary64_parts_are_pinned():
     # with the compensated float `sum()` of Python 3.12 and later.
     whole = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
     assert whole == "384428eceed75a2afffb30549c9d93331f84e6dfcd63593217396c5a85b9e055"
+
+
+# sha256 of whole `decompose` reports: they pin the JSON key order and the
+# text layout, as well as every value.
+PINNED_DECOMPOSITIONS = [
+    (("--format", "json", "0,1,0,0,0,0,0,0", "0,0,1,0,0,0,0,0", "0,0,0,0,1,0,0,0"),
+     "466173042a2e05259ab95936e2861b37bdf4a92cb278d8187bc2e54248f27fab"),
+    (("--format", "json", "--backend", "binary64", *ROUNDING_TRIPLE),
+     "3be355dfea8e223466bdb3e1e1c26baf216a9f787daa85d27c0704aeb118c6f6"),
+    (ROUNDING_TRIPLE, "c85220eab1dd0cd4532f4a9675f55fb71967b96c5e1991c2705c06cf15c60420"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_DECOMPOSITIONS)
+def test_decompose_reports_are_pinned(args, digest):
+    result = run_cli("decompose", *args)
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == digest
 
 
 def _one_error_line(stderr: str) -> bool:

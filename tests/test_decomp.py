@@ -388,15 +388,29 @@ def _bits(x):
 
 
 def _assert_matches_definitions(u1, u2, u3):
-    """Each fast-path result is what the plain definitions compute."""
+    """Each fast-path result is what the plain definitions compute, step by
+    step in `HNum` arithmetic."""
+    i0 = unit(u1.dim, u1.backend)
     mixed = inner(cross2(u1, u2), u3)
     okubo = scale(2 * real_coeff(u2), mul(u1, u3))
     for part in (acomm3, cross3, assoc3):
         okubo = sub(okubo, part(u1, u2, u3))
+    expand = add(scale(real_coeff(u1), u2), scale(real_coeff(u2), u1))
+    expand = add(sub(expand, scale(inner(u1, u2), i0)), cross2(u1, u2))
+    acomm_closed = sub(scale(inner(u1, u2), u3), scale(inner(u1, u3), u2))
+    acomm_closed = add(acomm_closed, scale(inner(u2, u3), u1))
+    cross_closed = sub(scale(mixed, i0), scale(real_coeff(u1), cross2(u2, u3)))
+    cross_closed = add(cross_closed, scale(real_coeff(u2), cross2(u1, u3)))
+    cross_closed = sub(cross_closed, scale(real_coeff(u3), cross2(u1, u2)))
+    assert _bits(decompose_pair(u1, u2)) == _bits([acomm2(u1, u2), cross2(u1, u2), mul(u1, u2)])
+    assert _bits(expand_product2(u1, u2)) == _bits(expand)
     parts = decompose_triple(u1, u2, u3)
     assert _bits(parts) == _bits([acomm3(u1, u2, u3), cross3(u1, u2, u3), assoc3(u1, u2, u3),
                                   mul(mul(u1, conj(u2)), u3)])
     expected = {
+        acomm3_closed: acomm_closed,
+        cross3_closed: cross_closed,
+        mirror_product: mul(u3, mul(conj(u2), u1)),
         norm_sq_acomm3: norm_sq(u1) * norm_sq(u2) * norm_sq(u3) - det3(gram(u1, u2, u3)),
         norm_sq_cross3: mixed * mixed + det3(gram(u1, u2, u3)) - det3(gram_im(u1, u2, u3)),
         norm_sq_assoc3: det3(gram_im(u1, u2, u3)) - mixed * mixed,
@@ -431,11 +445,28 @@ def test_fast_paths_equal_the_definitions(kind, dim):
 
 
 def test_fast_paths_keep_signed_zeros():
-    for signs in itertools.product((0.0, -0.0), repeat=3):
-        _assert_matches_definitions(*(hnum([s, -s, s, 0.0], BINARY64) for s in signs))
+    for dim, signs in itertools.product(DIMS, itertools.product((0.0, -0.0), repeat=3)):
+        _assert_matches_definitions(*(hnum(([s, -s, s, 0.0] * 2)[:dim], BINARY64)
+                                      for s in signs))
+    # Signed zeros among small integers: a form that took (u, i0) for re(u)
+    # would turn a -0.0 into 0.0, and a later sum shows the sign.
+    rng = random.Random(23)
+    for dim in DIMS:
+        for _ in range(200):
+            _assert_matches_definitions(*(
+                hnum([rng.choice((0.0, -0.0, 1.0, -1.0, 2.0)) for _ in range(dim)], BINARY64)
+                for _ in range(3)))
+
+
+PAIR_FORMS = (decompose_pair, expand_product2)
 
 
 @pytest.mark.parametrize("fn,products", [
+    (decompose_pair, 2),     # 5 through acomm2, cross2 and mul
+    (expand_product2, 2),
+    (acomm3_closed, 0),
+    (cross3_closed, 6),
+    (mirror_product, 2),
     (decompose_triple, 8),   # 14 through acomm3, cross3 and assoc3
     (okubo_rhs, 9),          # 13 through acomm3, cross3 and assoc3
     (norm_sq_acomm3, 0),
@@ -453,7 +484,8 @@ def test_triple_products_are_computed_once(monkeypatch, fn, products):
     monkeypatch.setitem(core._KERNELS, 8, counted)
     # A function generated before the patch calls the unpatched kernel.
     monkeypatch.setattr(decomp, "_FUNCS", {})
-    fn(*rand_tuple(random.Random(20), 3, 8))
+    us = rand_tuple(random.Random(20), 3, 8)
+    fn(*(us[:2] if fn in PAIR_FORMS else us))
     assert len(calls) == products
 
 
@@ -486,7 +518,8 @@ MISMATCHED = [
 ]
 
 
-@pytest.mark.parametrize("fn", [decompose_triple, norm_sq_acomm3, norm_sq_cross3,
+@pytest.mark.parametrize("fn", [acomm3_closed, cross3_closed, mirror_product,
+                                decompose_triple, norm_sq_acomm3, norm_sq_cross3,
                                 norm_sq_assoc3, okubo_rhs])
 @pytest.mark.parametrize("odd", [1, 2])
 @pytest.mark.parametrize("first,other,message", MISMATCHED)
@@ -497,3 +530,10 @@ def test_mismatched_operands_raise(fn, odd, first, other, message):
     us[odd] = zero(*other)
     with pytest.raises(ValueError, match=f"^{message}$"):
         fn(*us)
+
+
+@pytest.mark.parametrize("fn", PAIR_FORMS)
+@pytest.mark.parametrize("first,other,message", MISMATCHED)
+def test_mismatched_pair_operands_raise(fn, first, other, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fn(zero(*first), zero(*other))

@@ -208,6 +208,15 @@ def test_evaluate_rejects_values_of_another_dimension_or_backend():
         evaluate(expr, {"u1": basis(8, 1, BINARY64)}, 8, EXACT)
 
 
+@pytest.mark.parametrize("dim,backend,match", [
+    (3, EXACT, "dimension must be one of"),
+    (8, "nope", "unknown backend"),
+])
+def test_evaluate_refuses_a_dimension_or_backend_that_does_not_exist(dim, backend, match):
+    with pytest.raises(ValueError, match=match):
+        evaluate(parse("i0 == i0").lhs, {}, dim, backend)
+
+
 def test_evaluate_unbound_variable_inside_a_compound():
     expr = parse("cross3(u1, 2*u2, i0) == u1").lhs
     with pytest.raises(EvalError, match="'u2'"):
@@ -611,6 +620,10 @@ def test_check_identities_refuses_bad_counts_at_once():
             (check_identity_basis, dict(tolerance=1e-9), "tolerance applies only"),
             (check_identity_basis, dict(backend="nope"), "unknown backend"),
             (check_identity_basis, dict(backend=BINARY64, tolerance=0.0), "positive and finite"),
+            (check_identities, dict(dim=3), "dimension must be one of"),
+            (check_identity, dict(dim=3), "dimension must be one of"),
+            (check_identity, dict(dim=8.0), "dimension must be one of"),
+            (check_identity_basis, dict(dim=3), "dimension must be one of"),
         ]:
             with pytest.raises(ValueError, match=match):
                 check(text if check is not check_identities else [text], **kw)

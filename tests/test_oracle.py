@@ -22,7 +22,7 @@ TABLE8 = build_table(8)
 
 
 def test_build_table_rejects_bad_dimension():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dimension must be one of \(1, 2, 4, 8\), got 3$"):
         build_table(3)
 
 

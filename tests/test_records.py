@@ -127,6 +127,7 @@ def test_positional_and_keyword_construction_agree():
 
 @pytest.mark.parametrize("args, message", [
     ((3, (1, 2, 3), EXACT), "dimension must be one of"),
+    ((True, (1,), EXACT), "dimension must be one of"),
     ((2, (1, 2, 3), EXACT), "expected 2 coefficients, got 3"),
     ((2, (1, 2), "decimal"), "unknown backend 'decimal'"),
 ])
@@ -140,6 +141,8 @@ def test_gram_matrix_and_run_config_validate():
         GramMatrix(((1, 0), (0, 1)))
     with pytest.raises(ValueError, match="trials"):
         RunConfig("suite", trials=0)
+    with pytest.raises(ValueError, match=r"^dimension must be one of \(1, 2, 4, 8\), got 3$"):
+        RunConfig("suite", dim=3)
     assert RunConfig("suite", backend=BINARY64).tolerance == REL_TOL
 
 
