@@ -1,20 +1,24 @@
 """Command-line front end.
 
-Commands:
-    suite                       run the built-in identity suite
-    check FILE                  check each identity line in FILE
-    decompose U1 U2 U3          decompose one concrete triple product
-    table                       print the basis multiplication table
+Commands, and the only flags each takes (any other is a usage error):
+    table                       print the basis multiplication table: --dim
+    decompose U1 U2 U3          decompose one concrete triple product: --dim,
+                                --backend, --format
+    suite                       run the built-in identity suite: the flags of
+                                decompose and --trials, --seed, --coeff-range,
+                                --tolerance
+    check FILE                  check each identity line in FILE: as suite
+
+`suite` and `check` check their options by the library's one rule,
+`core.check_options`, before they read anything.  What depends on the
+backend is looked up in its scalar ring, `core.BACKENDS`.
 
 Exit codes: 0 all checks passed, 1 at least one identity failed, 2 I/O error
 (a missing file, or the reader closing stdout early, which exits quietly),
-3 malformed input (bad coefficients, parse errors, a file that is not UTF-8,
-inconsistent options, a coefficient range or a `decompose` coefficient or
+3 malformed input (a usage error, bad coefficients, parse errors, a file that
+is not UTF-8, options the library refuses, a `decompose` coefficient or
 result beyond the backend's numbers or too long to print).
 Output is byte-identical across runs with the same configuration.
-
-What depends on the backend is looked up in its scalar ring, `core.BACKENDS`,
-and options are checked by the library's own rules.
 """
 
 from __future__ import annotations
@@ -32,102 +36,70 @@ from .core import (
     REL_TOL,
     DigitsError,
     HNum,
-    Record,
     brief,
-    check_dim,
     check_options,
     coerce_scalar,
     inner,
     norm_sq,
-    scalar_ring,
     scalar_str,
 )
-from .dsl import FAIL, PARSE_ERROR, check_identities, report_json_obj, report_text
+from .dsl import FAIL, PARSE_ERROR, PASS, check_identities, report_json_obj, report_text
 from .oracle import build_table, format_table
 from .suite import builtin_lines, numbered_lines
 
 
-class RunConfig(Record):
-    """Validated knobs shared by all commands; tolerance only with binary64."""
-
-    __slots__ = ("command", "dim", "backend", "trials", "seed", "coeff_range", "tolerance", "fmt")
-    _defaults = {"dim": 8, "backend": EXACT, "trials": 1000, "seed": 42, "coeff_range": 9,
-                 "tolerance": None, "fmt": "text"}
-
-    def _check(self):
-        # Runs while the fields can still be set, so it can fill in the
-        # binary64 default tolerance.
-        check_dim(self.dim)
-        ring = scalar_ring(self.backend)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.coeff_range < 1:
-            raise ValueError("coeff-range must be >= 1")
-        if ring.needs_tolerance and self.tolerance is None:
-            self.tolerance = REL_TOL
-        check_options(self.backend, self.tolerance, self.coeff_range)
-        if self.fmt not in ("text", "json"):
-            raise ValueError("format must be text or json")
+def _error(message, code: int = 3) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
-def _emit(report, cfg: RunConfig, out, prefix: str = ""):
-    if cfg.fmt == "json":
-        out.write(json.dumps(report_json_obj(report)) + "\n")
-    else:
-        out.write(prefix + report_text(report) + "\n")
-
-
-def _check_lines(lines, cfg: RunConfig, out, numbered: bool = False):
-    """Check lines in order; returns (any_parse_error, any_failure)."""
-    any_parse = False
-    any_fail = False
-    reports = check_identities(
-        [line for _, line in lines], dim=cfg.dim, backend=cfg.backend, trials=cfg.trials,
-        seed=cfg.seed, coeff_range=cfg.coeff_range, tolerance=cfg.tolerance,
-    )
+def _check_lines(lines, args, numbered: bool = False) -> set:
+    """Check `(lineno, line)` pairs in order, printing each report; returns
+    the statuses seen."""
+    reports = check_identities([line for _, line in lines], args.dim, args.backend,
+                               args.trials, args.seed, args.coeff_range, args.tolerance)
+    seen = set()
     for (lineno, _), report in zip(lines, reports):
-        prefix = f"line {lineno}: " if numbered else ""
-        _emit(report, cfg, out, prefix)
-        if report.status == PARSE_ERROR:
-            any_parse = True
-        elif report.status == FAIL:
-            any_fail = True
-    return any_parse, any_fail
+        if args.fmt == "json":
+            sys.stdout.write(json.dumps(report_json_obj(report)) + "\n")
+        else:
+            prefix = f"line {lineno}: " if numbered else ""
+            sys.stdout.write(prefix + report_text(report) + "\n")
+        seen.add(report.status)
+    return seen
 
 
-def run_suite(cfg: RunConfig, out=None) -> int:
-    out = out or sys.stdout
-    lines = [(i + 1, line) for i, line in enumerate(builtin_lines(cfg.dim))]
-    any_parse, any_fail = _check_lines(lines, cfg, out)
-    return 1 if (any_parse or any_fail) else 0
-
-
-def run_check(cfg: RunConfig, path: str, out=None) -> int:
-    out = out or sys.stdout
+def _run_checks(args) -> int:
+    """`suite` or `check FILE`: options first, then the file, then the lines."""
+    if args.tolerance is None and BACKENDS[args.backend].needs_tolerance:
+        args.tolerance = REL_TOL  # binary64's default
     try:
-        with open(path, encoding="utf-8") as fh:
+        check_options(args.backend, args.tolerance, args.trials, args.coeff_range)
+    except ValueError as err:
+        return _error(err)
+    if args.command == "suite":
+        seen = _check_lines(list(enumerate(builtin_lines(args.dim), 1)), args)
+        return 0 if seen <= {PASS} else 1
+    try:
+        with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(err, 2)
     except UnicodeDecodeError as err:
-        print(f"error: {path}: not UTF-8 text (byte {err.start})", file=sys.stderr)
-        return 3
-    any_parse, any_fail = _check_lines(numbered_lines(text), cfg, out, numbered=True)
-    if any_parse:
-        return 3
-    return 1 if any_fail else 0
+        return _error(f"{args.file}: not UTF-8 text (byte {err.start})")
+    seen = _check_lines(numbered_lines(text), args, numbered=True)
+    return 3 if PARSE_ERROR in seen else 1 if FAIL in seen else 0
 
 
-def _parse_coeffs(text: str, cfg: RunConfig) -> HNum:
+def _parse_coeffs(text: str, args) -> HNum:
     parts = text.split(",")
-    if len(parts) != cfg.dim:
-        raise ValueError(f"expected {cfg.dim} comma-separated coefficients, got {len(parts)}")
+    if len(parts) != args.dim:
+        raise ValueError(f"expected {args.dim} comma-separated coefficients, got {len(parts)}")
     values = []
     for part in parts:
         part = part.strip()
         try:
-            value = coerce_scalar(part, cfg.backend)
+            value = coerce_scalar(part, args.backend)
             try:
                 scalar_str(value)  # the report prints every input
             except ValueError:
@@ -139,37 +111,30 @@ def _parse_coeffs(text: str, cfg: RunConfig) -> HNum:
             raise ValueError(f"bad coefficient {brief(part)}") from None
         except OverflowError:
             raise ValueError(
-                f"coefficient {brief(part)} is beyond the {cfg.backend} range") from None
+                f"coefficient {brief(part)} is beyond the {args.backend} range") from None
         values.append(value)
-    return HNum(cfg.dim, tuple(values), cfg.backend)
+    return HNum(args.dim, tuple(values), args.backend)
 
 
-def run_decompose(cfg: RunConfig, raw1: str, raw2: str, raw3: str, out=None) -> int:
-    out = out or sys.stdout
+def _run_decompose(args) -> int:
     try:
-        u1 = _parse_coeffs(raw1, cfg)
-        u2 = _parse_coeffs(raw2, cfg)
-        u3 = _parse_coeffs(raw3, cfg)
+        u1, u2, u3 = (_parse_coeffs(raw, args) for raw in (args.u1, args.u2, args.u3))
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        return _error(err)
     parts = decomp.decompose_triple(u1, u2, u3)
     try:
-        text = _render_decomposition(cfg, (u1, u2, u3), parts)
+        text = _render_decomposition(args, (u1, u2, u3), parts)
     except OverflowError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        return _error(err)
     except ValueError:
         # str() of an exact integer refuses more than this many digits.
         limit = sys.get_int_max_str_digits()
-        print(f"error: a result has more than {limit} digits and cannot be printed",
-              file=sys.stderr)
-        return 3
-    out.write(text)
+        return _error(f"a result has more than {limit} digits and cannot be printed")
+    sys.stdout.write(text)
     return 0
 
 
-def _render_decomposition(cfg: RunConfig, inputs, parts) -> str:
+def _render_decomposition(args, inputs, parts) -> str:
     """The whole `decompose` report, rendered before any of it is written;
     OverflowError if a result is not finite."""
     u1, u2, u3 = inputs
@@ -199,25 +164,19 @@ def _render_decomposition(cfg: RunConfig, inputs, parts) -> str:
         ("normsq(u1)*normsq(u2)*normsq(u3) ", "norm_product",
          norm_sq(u1) * norm_sq(u2) * norm_sq(u3)),
     ]
-    finite = BACKENDS[cfg.backend].finite
+    finite = BACKENDS[args.backend].finite
     if not all(finite(x) for _, _, v in rows for x in (v if isinstance(v, tuple) else (v,))):
-        raise OverflowError(f"a result is beyond the {cfg.backend} range and cannot be printed")
+        raise OverflowError(f"a result is beyond the {args.backend} range and cannot be printed")
     shown = [[scalar_str(x) for x in v] if isinstance(v, tuple) else scalar_str(v)
              for _, _, v in rows]
-    if cfg.fmt == "text":
+    if args.fmt == "text":
         return "".join(f"{label} = {','.join(text) if isinstance(text, list) else text}\n"
                        for (label, _, _), text in zip(rows, shown))
-    obj = {"dim": cfg.dim, "backend": cfg.backend}
+    obj = {"dim": args.dim, "backend": args.backend}
     for (_, key, _), text in zip(rows, shown):
         group, _, name = key.rpartition(".")
         (obj.setdefault(group, {}) if group else obj)[name] = text
     return json.dumps(obj) + "\n"
-
-
-def run_table(cfg: RunConfig, out=None) -> int:
-    out = out or sys.stdout
-    out.write(format_table(build_table(cfg.dim)) + "\n")
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,38 +185,41 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dim", type=int, choices=list(DIMS), default=8,
-                        help="algebra dimension (default 8)")
-    common.add_argument("--backend", choices=list(BACKENDS), default=EXACT,
+    # Nested parents: each command takes the flags it reads and no others.
+    shape = argparse.ArgumentParser(add_help=False)  # table
+    shape.add_argument("--dim", type=int, choices=list(DIMS), default=8,
+                       help="algebra dimension (default 8)")
+    values = argparse.ArgumentParser(add_help=False, parents=[shape])  # decompose
+    values.add_argument("--backend", choices=list(BACKENDS), default=EXACT,
                         help="scalar backend (default exact)")
-    common.add_argument("--trials", type=int, default=1000,
-                        help="random trials per identity (default 1000)")
-    common.add_argument("--seed", type=int, default=42,
-                        help="random seed (default 42)")
-    common.add_argument("--coeff-range", type=int, default=9,
-                        help="sample coefficients in [-N, N] (default 9)")
-    common.add_argument("--tolerance", type=float, default=None,
-                        help="binary64 relative tolerance (default 1e-9)")
-    common.add_argument("--format", dest="fmt", choices=["text", "json"], default="text",
+    values.add_argument("--format", dest="fmt", choices=["text", "json"], default="text",
                         help="output format (default text)")
+    checks = argparse.ArgumentParser(add_help=False, parents=[values])  # suite, check
+    checks.add_argument("--trials", type=int, default=1000,
+                        help="random trials per identity (default 1000)")
+    checks.add_argument("--seed", type=int, default=42,
+                        help="random seed (default 42)")
+    checks.add_argument("--coeff-range", type=int, default=9,
+                        help="sample coefficients in [-N, N] (default 9)")
+    checks.add_argument("--tolerance", type=float, default=None,
+                        help="binary64 relative tolerance (default 1e-9)")
 
     parser = _Parser(
         prog="triprod",
         description="Check hypercomplex identities and decompose triple products.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("suite", parents=[common],
+    sub.add_parser("suite", parents=[checks],
                    help="run the built-in identity suite")
-    p_check = sub.add_parser("check", parents=[common],
+    p_check = sub.add_parser("check", parents=[checks],
                              help="check identities from a file, one per line")
     p_check.add_argument("file")
-    p_dec = sub.add_parser("decompose", parents=[common],
+    p_dec = sub.add_parser("decompose", parents=[values],
                            help="decompose (u1*conj(u2))*u3 for concrete coefficients")
     p_dec.add_argument("u1", help="comma-separated coefficients, e.g. 0,1,0,0,0,0,0,0")
     p_dec.add_argument("u2")
     p_dec.add_argument("u3")
-    sub.add_parser("table", parents=[common],
+    sub.add_parser("table", parents=[shape],
                    help="print the basis multiplication table")
     return parser
 
@@ -276,22 +238,12 @@ def main(argv=None) -> int:
 
 def _dispatch(argv) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = RunConfig(
-            command=args.command, dim=args.dim, backend=args.backend,
-            trials=args.trials, seed=args.seed, coeff_range=args.coeff_range,
-            tolerance=args.tolerance, fmt=args.fmt,
-        )
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    if cfg.command == "suite":
-        return run_suite(cfg)
-    if cfg.command == "check":
-        return run_check(cfg, args.file)
-    if cfg.command == "decompose":
-        return run_decompose(cfg, args.u1, args.u2, args.u3)
-    return run_table(cfg)
+    if args.command == "table":
+        sys.stdout.write(format_table(build_table(args.dim)) + "\n")
+        return 0
+    if args.command == "decompose":
+        return _run_decompose(args)
+    return _run_checks(args)
 
 
 if __name__ == "__main__":

@@ -239,10 +239,16 @@ def check_dim(dim) -> None:
         raise ValueError(f"dimension must be one of {DIMS}, got {dim}")
 
 
-def check_options(backend: str, tolerance, coeff_range: int = 0) -> None:
+def check_options(backend: str, tolerance, trials: int = 1, coeff_range: int = 1) -> None:
     """The rule every check's options follow, ValueError where they break it:
-    samples up to `coeff_range` must be scalars of `backend`, and a backend
-    that compares within a tolerance needs a positive, finite one."""
+    `trials` and `coeff_range` are ints of at least 1 (a range of 0 samples
+    only zeros, which pass false identities), samples up to `coeff_range`
+    must be scalars of `backend`, and a backend that compares within a
+    tolerance needs a positive, finite one.  The defaults are those of a
+    check that draws no samples, as `check_identity_basis`."""
+    for name, count in (("trials", trials), ("coeff_range", coeff_range)):
+        if not isinstance(count, int) or count < 1:
+            raise ValueError(f"{name} must be an int >= 1, got {count!r}")
     ring = scalar_ring(backend)
     try:
         ring.coerce(coeff_range)

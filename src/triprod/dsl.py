@@ -436,6 +436,7 @@ class _Gen:
 
     def __init__(self, dim: int, backend: str, params: int):
         self.dim = dim
+        self.backend = backend
         self.ring = BACKENDS[backend]
         self.ns = {"_mul": _KERNELS[dim], "_scale": self.ring.scale}
         self.vars = {}
@@ -492,7 +493,10 @@ class _Gen:
     def value(self, expr: Expr) -> str:
         """The value of `expr`, after writing the statements it needs."""
         if isinstance(expr, Num):
-            return self.const(self.ring.coerce(expr.value))
+            try:
+                return self.const(self.ring.coerce(expr.value))
+            except OverflowError:
+                raise EvalError(f"number too large for the {self.backend} backend") from None
         if isinstance(expr, Var):
             return self.vars[expr.name]
         if isinstance(expr, (Unit, Basis)):
@@ -578,7 +582,7 @@ def evaluate(expr: Expr, env: dict, dim: int, backend: str = EXACT):
     Multiplication follows source order; chains are evaluated left to right
     exactly as parsed.  All free variables must be bound in `env` to HNums of
     the requested dimension and backend.  ValueError for a dimension or
-    backend that does not exist.
+    backend that does not exist; EvalError for a number beyond the backend's.
     """
     check_dim(dim)
     scalar_ring(backend)
@@ -735,12 +739,8 @@ def check_identities(identities, dim: int = 8, backend: str = EXACT, trials: int
     in bursts: a group's all at once, when its first is due.  ValueError at
     once where `check_identity` refuses the options, whatever the identities.
     """
-    if not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
-    if not isinstance(coeff_range, int) or coeff_range < 0:
-        raise ValueError(f"coeff_range must be an int >= 0, got {coeff_range!r}")
+    check_options(backend, tolerance, trials, coeff_range)
     check_dim(dim)
-    check_options(backend, tolerance, coeff_range)
 
     def samples(count):
         from_ints = BACKENDS[backend].from_ints
@@ -762,9 +762,10 @@ def check_identity(identity, dim: int = 8, backend: str = EXACT, trials: int = 1
     Deterministic: identical (identity, dim, backend, trials, seed,
     coeff_range) inputs produce identical reports.  `identity` may be an
     Identity or a source string; parse failures yield a PARSE_ERROR report
-    rather than raising.  ValueError if `trials` or `coeff_range` is not an
-    int, `trials` is below 1, `coeff_range` is negative or beyond what the
-    backend's scalars hold, or the dimension, backend or tolerance is refused.
+    rather than raising.  ValueError where `core.check_options` refuses the
+    options (a `trials` or `coeff_range` that is not an int of at least 1, a
+    range beyond what the backend's scalars hold, an unknown backend, a
+    tolerance the backend does not take) or for a dimension outside DIMS.
     """
     return next(check_identities((identity,), dim, backend, trials, seed, coeff_range,
                                  tolerance))

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -468,10 +469,49 @@ def test_suite_lower_dims_pass(dim):
     assert result.returncode == 0
 
 
+# The flags each command takes, and nothing else.
+CHECK_FLAGS = {"--dim", "--backend", "--format", "--trials", "--seed", "--coeff-range",
+               "--tolerance"}
+COMMAND_FLAGS = {
+    "table": {"--dim"},
+    "decompose": {"--dim", "--backend", "--format"},
+    "suite": CHECK_FLAGS,
+    "check": CHECK_FLAGS,
+}
+SUITE_FILE = str(Path(triprod.__file__).parent / "data" / "suite.txt")
+
+
+def _main(argv):
+    """`cli.main(argv)` in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:  # argparse: usage errors and --help
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# The defaults, as flags: left out, each gives the same reports.
+@pytest.mark.parametrize("flags, defaults", [
+    ([], ["--dim", "8", "--backend", "exact", "--seed", "42", "--coeff-range", "9",
+          "--format", "text"]),
+    (["--backend", "binary64"], ["--backend", "binary64", "--tolerance", "1e-9"]),
+])
+def test_check_defaults_are_the_documented_flags(flags, defaults):
+    argv = ["check", SUITE_FILE, "--trials", "5"]
+    result = _main(argv + flags)
+    assert result == _main(argv + defaults)
+    assert result[0] == 0 and result[1].count("\n") == len(builtin_lines(8))
+
+
 # Every subcommand and flag, with values that have broken parsers before:
 # huge exponents and ranges, nan, a zero denominator, wrong lengths.
+# --trials stays small: a suite of 1000 trials takes seconds.
+TRIALS = ["1", "1", "1", "1", "2", "0", "x"]
 FLAG_VALUES = {
     "--backend": ["exact", "binary64"],
+    "--trials": TRIALS,
     "--seed": ["0", "-1", str(10**400)],
     "--coeff-range": ["1", "9", "0", str(10**400), "1e10000000"],
     "--tolerance": ["1e-9", "0", "nan", "inf", "1e10000000", f"1e-{10**400}"],
@@ -479,17 +519,22 @@ FLAG_VALUES = {
 }
 SCALARS = ["1", "-0.0", "1/2", "1/0", "nan", "inf", "x", "", "1e10000000", "-1e-10000000",
            "1e308", "-1e308", str(10**400), "1e-400"]
-PATHS = [str(Path(triprod.__file__).parent / "data" / "suite.txt"), "no/such/file", "."]
+PATHS = [SUITE_FILE, "no/such/file", "."]
 
 
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(["suite", "check", "decompose", "table"]))
     dim = draw(st.sampled_from([1, 2, 4, 8]))
-    # --trials stays small: a suite of 1000 trials takes seconds.
-    trials = draw(st.sampled_from(["1", "1", "1", "1", "2", "0", "x"]))
-    argv = [command, "--dim", str(dim), "--trials", trials]
-    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=3)):
+    argv = [command, "--dim", str(dim)]
+    if command in ("suite", "check"):
+        argv += ["--trials", draw(st.sampled_from(TRIALS))]
+    own = sorted(COMMAND_FLAGS[command] & FLAG_VALUES.keys())
+    flags = draw(st.lists(st.sampled_from(own), max_size=3)) if own else []
+    foreign = sorted(FLAG_VALUES.keys() - COMMAND_FLAGS[command])
+    if foreign and draw(st.integers(0, 9)) == 0:  # a flag the command does not take
+        flags.insert(draw(st.integers(0, len(flags))), draw(st.sampled_from(foreign)))
+    for flag in flags:
         argv += [flag, draw(st.sampled_from(FLAG_VALUES[flag]))]
     words = {"check": [draw(st.sampled_from(PATHS))], "suite": [], "table": []}.get(command)
     if words is None:  # decompose: three values, mostly of the right length
@@ -506,15 +551,10 @@ def argvs(draw):
 @settings(max_examples=300, deadline=None)
 @given(argvs())
 def test_any_argv_exits_0_to_3_without_traceback(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exit_:  # argparse: usage errors and --help
-            code = exit_.code
+    code, _, err = _main(argv)
     assert code in (0, 1, 2, 3), argv
-    assert "Traceback" not in err.getvalue(), argv
-    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err, argv
+    lines = err.splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), argv
 
 
@@ -527,6 +567,17 @@ def test_any_argv_exits_0_to_3_without_traceback(argv):
     ["suite", "--tolerance"],
     ["nope"],
     ["suite", "one\nword too many"],
+    # Options are refused before the file is opened.
+    ["check", "/no/such/file", "--trials", "0"],
+    ["check", "/no/such/file", "--coeff-range", "0"],
+    # A flag the command does not read is a usage error, not ignored.
+    *[["decompose", "--dim", "1", "1", "1", "1", flag, value]
+      for flag, value in [("--trials", "5"), ("--seed", "7"), ("--coeff-range", "3"),
+                          ("--tolerance", "1e-9")]],
+    *[["table", flag, value]
+      for flag, value in [("--trials", "5"), ("--seed", "7"), ("--coeff-range", "3"),
+                          ("--tolerance", "1e-9"), ("--backend", "binary64"),
+                          ("--format", "json")]],
 ])
 def test_usage_errors_exit_3_with_one_error_line(argv):
     result = run_cli(*argv)
@@ -537,6 +588,7 @@ def test_usage_errors_exit_3_with_one_error_line(argv):
 
 
 def test_help_still_exits_0():
-    result = run_cli("suite", "-h")
-    assert result.returncode == 0
-    assert result.stderr == "" and "--coeff-range" in result.stdout
+    for command, flags in COMMAND_FLAGS.items():
+        code, out, err = _main([command, "-h"])
+        assert (code, err) == (0, ""), command
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == flags | {"--help"}, command

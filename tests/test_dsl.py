@@ -211,10 +211,12 @@ def test_evaluate_rejects_values_of_another_dimension_or_backend():
 @pytest.mark.parametrize("dim,backend,match", [
     (3, EXACT, "dimension must be one of"),
     (8, "nope", "unknown backend"),
+    # The wording a check of the same line reports, not a bare OverflowError.
+    (8, BINARY64, "^number too large for the binary64 backend$"),
 ])
 def test_evaluate_refuses_a_dimension_or_backend_that_does_not_exist(dim, backend, match):
     with pytest.raises(ValueError, match=match):
-        evaluate(parse("i0 == i0").lhs, {}, dim, backend)
+        evaluate(parse("1" + "0" * 400 + "*i0 == i0").lhs, {}, dim, backend)
 
 
 def test_evaluate_unbound_variable_inside_a_compound():
@@ -607,6 +609,12 @@ def test_check_identities_refuses_bad_counts_at_once():
         check_identities(["u1 == u1"], trials=0)
     with pytest.raises(ValueError, match="coeff_range must be an int"):
         check_identities(["u1 == u1"], coeff_range=-1)
+    # A range of 0 draws only zeros, on which the false `u1 == 2*u1` holds.
+    with pytest.raises(ValueError, match=r"^coeff_range must be an int >= 1, got 0$"):
+        check_identity("u1 == 2*u1", coeff_range=0)
+    with pytest.raises(ValueError, match=r"^coeff_range must be an int >= 1, got 0$"):
+        core.check_options(EXACT, None, coeff_range=0)
+    assert check_identity_basis("u1 == 2*u1").status == "FAIL"  # draws no samples, needs no range
     # Options are refused when the check is called, whatever the identity
     # text: a generator, or a PARSE_ERROR report, would hide them.
     for text in ("u1 == u1", "u1 =="):
@@ -614,6 +622,8 @@ def test_check_identities_refuses_bad_counts_at_once():
             (check_identities, dict(backend=BINARY64, tolerance=1e-9, coeff_range=10**400),
              "too large"),
             (check_identities, dict(backend="nope"), "unknown backend"),
+            (check_identities, dict(coeff_range=0), "coeff_range must be an int >= 1"),
+            (check_identity, dict(coeff_range=0), "coeff_range must be an int >= 1"),
             (check_identities, dict(tolerance=1e-9), "tolerance applies only"),
             (check_identities, dict(backend=BINARY64), "require a tolerance"),
             (check_identity, dict(tolerance=1e-9), "tolerance applies only"),

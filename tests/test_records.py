@@ -18,7 +18,6 @@ from triprod import (
     BINARY64,
     DIMS,
     EXACT,
-    REL_TOL,
     CheckReport,
     GramMatrix,
     HNum,
@@ -37,7 +36,6 @@ from triprod import (
     scale,
     sub,
 )
-from triprod.cli import RunConfig
 from triprod.dsl import Add, Basis, Call, Mul, Neg, Num, Sub, Unit, Var
 
 
@@ -65,7 +63,6 @@ RECORDS = [
     (Var("u1", 3), "col"),
     (parse("u1 == u1"), "lhs"),
     (check_identity("u1 == u1", dim=2, trials=1), "status"),
-    (RunConfig("suite"), "trials"),
 ]
 
 
@@ -136,14 +133,9 @@ def test_hnum_constructor_validates(args, message):
         HNum(*args)
 
 
-def test_gram_matrix_and_run_config_validate():
+def test_gram_matrix_validates():
     with pytest.raises(ValueError, match="3 rows of 3"):
         GramMatrix(((1, 0), (0, 1)))
-    with pytest.raises(ValueError, match="trials"):
-        RunConfig("suite", trials=0)
-    with pytest.raises(ValueError, match=r"^dimension must be one of \(1, 2, 4, 8\), got 3$"):
-        RunConfig("suite", dim=3)
-    assert RunConfig("suite", backend=BINARY64).tolerance == REL_TOL
 
 
 def test_reprs_are_unchanged():
@@ -151,9 +143,6 @@ def test_reprs_are_unchanged():
     assert repr(hnum([1.5, 0], BINARY64)) == "HNum([1.5, 0.0], backend='binary64')"
     assert repr(Add(Var("u1", 1), Unit(6), 4)) == (
         "Add(left=Var(name='u1', col=1), right=Unit(col=6), col=4)")
-    assert repr(RunConfig("table")) == (
-        "RunConfig(command='table', dim=8, backend='exact', trials=1000, seed=42, "
-        "coeff_range=9, tolerance=None, fmt='text')")
 
 
 def test_defaults_are_unchanged():
@@ -162,7 +151,6 @@ def test_defaults_are_unchanged():
     assert report == CheckReport(identity="u1 == u1", dim=8, backend=EXACT, trials=1,
                                  failures=0, max_deviation=0, witness=None,
                                  status="PASS", seed=42, message="")
-    assert RunConfig("suite") == RunConfig("suite", 8, EXACT, 1000, 42, 9, None, "text")
     assert Var("u1").col == 0
 
 
