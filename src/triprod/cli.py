@@ -17,7 +17,7 @@ Exit codes: 0 all checks passed, 1 at least one identity failed, 2 I/O error
 (a missing file, or the reader closing stdout early, which exits quietly),
 3 malformed input (a usage error, bad coefficients, parse errors, a file that
 is not UTF-8, options the library refuses, a `decompose` coefficient or
-result beyond the backend's numbers or too long to print).
+result beyond the backend's numbers, a number too long to print).
 Output is byte-identical across runs with the same configuration.
 """
 
@@ -74,7 +74,7 @@ def _run_checks(args) -> int:
     if args.tolerance is None and BACKENDS[args.backend].needs_tolerance:
         args.tolerance = REL_TOL  # binary64's default
     try:
-        check_options(args.backend, args.tolerance, args.trials, args.coeff_range)
+        check_options(args.backend, args.tolerance, args.trials, args.coeff_range, args.seed)
     except ValueError as err:
         return _error(err)
     if args.command == "suite":
@@ -100,10 +100,6 @@ def _parse_coeffs(text: str, args) -> HNum:
         part = part.strip()
         try:
             value = coerce_scalar(part, args.backend)
-            try:
-                scalar_str(value)  # the report prints every input
-            except ValueError:
-                raise DigitsError from None
         except DigitsError:  # before ValueError, its base
             limit = sys.get_int_max_str_digits()
             raise ValueError(f"coefficient {brief(part)} has more than {limit} digits") from None
@@ -126,17 +122,13 @@ def _run_decompose(args) -> int:
         text = _render_decomposition(args, (u1, u2, u3), parts)
     except OverflowError as err:
         return _error(err)
-    except ValueError:
-        # str() of an exact integer refuses more than this many digits.
-        limit = sys.get_int_max_str_digits()
-        return _error(f"a result has more than {limit} digits and cannot be printed")
     sys.stdout.write(text)
     return 0
 
 
 def _render_decomposition(args, inputs, parts) -> str:
     """The whole `decompose` report, rendered before any of it is written;
-    OverflowError if a result is not finite."""
+    OverflowError or DigitsError for a result not finite or too long to print."""
     u1, u2, u3 = inputs
     a, c, s = parts.anticommutator, parts.cross, parts.associator
     lengths = (norm_sq(a), norm_sq(c), norm_sq(s))
@@ -233,6 +225,9 @@ def main(argv=None) -> int:
         # the interpreter's last flush does not fail again on the way out.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    except DigitsError:  # a report's number that str() cannot print
+        limit = sys.get_int_max_str_digits()
+        return _error(f"a result has more than {limit} digits and cannot be printed")
     return code
 
 

@@ -139,6 +139,7 @@ class _Exact:
             raise TypeError("float coefficient not allowed on the exact backend")
         if isinstance(value, str):
             value = _rational(value, exact=True)
+            scalar_str(value)  # DigitsError if no report could print it
         return _canon(value if isinstance(value, (int, Fraction)) else Fraction(value))
 
     from_ints = tuple
@@ -239,16 +240,20 @@ def check_dim(dim) -> None:
         raise ValueError(f"dimension must be one of {DIMS}, got {dim}")
 
 
-def check_options(backend: str, tolerance, trials: int = 1, coeff_range: int = 1) -> None:
+def check_options(backend: str, tolerance, trials: int = 1, coeff_range: int = 1, seed=0) -> None:
     """The rule every check's options follow, ValueError where they break it:
     `trials` and `coeff_range` are ints of at least 1 (a range of 0 samples
-    only zeros, which pass false identities), samples up to `coeff_range`
-    must be scalars of `backend`, and a backend that compares within a
-    tolerance needs a positive, finite one.  The defaults are those of a
-    check that draws no samples, as `check_identity_basis`."""
+    only zeros, which pass false identities), an int `seed` is at least 0 (as
+    `random.Random` seeds with |seed|, -1 would name the samples of 1),
+    samples up to `coeff_range` must be scalars of `backend`, and a backend
+    that compares within a tolerance needs a positive, finite one.  The
+    defaults are those of a check that draws no samples, as
+    `check_identity_basis`."""
     for name, count in (("trials", trials), ("coeff_range", coeff_range)):
         if not isinstance(count, int) or count < 1:
             raise ValueError(f"{name} must be an int >= 1, got {count!r}")
+    if isinstance(seed, int) and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     ring = scalar_ring(backend)
     try:
         ring.coerce(coeff_range)
@@ -273,8 +278,12 @@ def coerce_scalar(value, backend: str) -> Scalar:
 
 
 def scalar_str(x: Scalar) -> str:
-    """Lossless decimal string: "p/q" for rationals, shortest round-trip for floats."""
-    return repr(x) if isinstance(x, float) else str(x)
+    """Lossless decimal string: "p/q" for rationals, shortest round-trip for
+    floats; DigitsError for a rational with more digits than str() prints."""
+    try:
+        return repr(x) if isinstance(x, float) else str(x)
+    except ValueError:
+        raise DigitsError(f"a number has more than {_max_str_digits()} digits") from None
 
 
 _new = object.__new__

@@ -20,7 +20,9 @@ significant at dim 8.  Expressions are sorted into scalar-valued (rational
 literals, re, inner, normsq and their sums/products) and vector-valued
 everything else; a scalar may multiply a vector only from the left.  Sort,
 arity and nesting errors (beyond MAX_DEPTH levels) are reported at parse time
-with a column number.
+with a column number.  `_sort_of` is the one walk over a tree; `_checked`
+runs it on each tree a check or `evaluate` takes, then refuses a basis element
+beyond the dimension or a literal beyond the backend, so `_Gen` checks nothing.
 
 Checking identities generates one straight-line function from both sides of
 each, `f(v0, v1, ...) -> (lhs, rhs, ...)` over coefficient tuples.  Every
@@ -89,7 +91,7 @@ class ParseError(ValueError):
 
 
 class EvalError(ValueError):
-    """Evaluation-time failure (unbound variable, basis index beyond dim)."""
+    """`evaluate`'s refusal: an unbound variable, or a tree a check would refuse."""
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +154,6 @@ class Identity(Record):
 
 # ---------------------------------------------------------------------------
 # Lexer
-
-_SYMBOLS = ("==", "+", "-", "*", "(", ")", ",")
-
 
 # ASCII only: str.isdigit also accepts characters such as '²', which Fraction
 # and int reject.
@@ -322,66 +321,69 @@ class _Parser:
         return Var(name, col)
 
 
-def _sort_of(expr: Expr, depth: int = 1) -> str:
-    """Sort of an expression; raises ParseError on sort violations, and on a
+def _sort_of(expr: Expr, leaves: list, depth: int = 1) -> str:
+    """Sort of an expression, in the one walk over a tree, which appends its
+    leaves to `leaves` left to right; ParseError on sort violations, and on a
     tree deeper than MAX_DEPTH (a long chain such as u+u+...+u is one)."""
     if depth > MAX_DEPTH:
         raise _too_deep(expr.col)
     depth += 1
-    if isinstance(expr, Num):
-        return SCALAR
-    if isinstance(expr, (Var, Unit, Basis)):
-        return VECTOR
+    if isinstance(expr, (Num, Var, Unit, Basis)):
+        leaves.append(expr)
+        return SCALAR if isinstance(expr, Num) else VECTOR
     if isinstance(expr, Neg):
-        return _sort_of(expr.operand, depth)
+        return _sort_of(expr.operand, leaves, depth)
     if isinstance(expr, (Add, Sub)):
-        ls, rs = _sort_of(expr.left, depth), _sort_of(expr.right, depth)
+        ls, rs = _sort_of(expr.left, leaves, depth), _sort_of(expr.right, leaves, depth)
         if ls != rs:
             raise ParseError(f"cannot add/subtract {ls} and {rs} values", expr.col)
         return ls
     if isinstance(expr, Mul):
-        ls, rs = _sort_of(expr.left, depth), _sort_of(expr.right, depth)
+        ls, rs = _sort_of(expr.left, leaves, depth), _sort_of(expr.right, leaves, depth)
         if ls == VECTOR and rs == SCALAR:
             raise ParseError("scalar factor must be the left operand of '*'", expr.col)
         return SCALAR if (ls, rs) == (SCALAR, SCALAR) else VECTOR
     if isinstance(expr, Call):
         for arg in expr.args:
-            if _sort_of(arg, depth) != VECTOR:
+            if _sort_of(arg, leaves, depth) != VECTOR:
                 raise ParseError(f"{expr.func} takes vector arguments", expr.col)
         return FUNCTIONS[expr.func][1]
     raise TypeError(f"unknown node {expr!r}")
-
-
-def _walk(expr: Expr):
-    yield expr
-    for attr in ("operand", "left", "right"):
-        child = getattr(expr, attr, None)
-        if child is not None:
-            yield from _walk(child)
-    for arg in getattr(expr, "args", ()):
-        yield from _walk(arg)
 
 
 def _too_deep(col: int) -> ParseError:
     return ParseError(f"expression nested too deeply (more than {MAX_DEPTH} levels)", col)
 
 
-def _free_vars(*exprs: Expr) -> tuple:
-    seen = []
-    for node in itertools.chain.from_iterable(map(_walk, exprs)):
-        if isinstance(node, Var) and node.name not in seen:
-            seen.append(node.name)
-    return tuple(seen)
+def _checked(exprs, dim: int, backend: str) -> tuple:
+    """The free variables of `exprs` once they pass every rule the generator
+    relies on: ParseError for a sort or depth error, then, the walk done, for
+    the leftmost basis element beyond `dim` or literal beyond `backend`."""
+    coerce = scalar_ring(backend).coerce
+    leaves = []
+    for expr in exprs:
+        _sort_of(expr, leaves)
+    for leaf in leaves:
+        if isinstance(leaf, Basis) and leaf.index >= dim:
+            raise ParseError(f"basis element e{leaf.index} does not exist at dimension {dim}",
+                             leaf.col)
+        if isinstance(leaf, Num):
+            try:
+                coerce(leaf.value)
+            except OverflowError:
+                raise ParseError(f"number too large for the {backend} backend", leaf.col) from None
+    return tuple(dict.fromkeys(leaf.name for leaf in leaves if isinstance(leaf, Var)))
 
 
 def parse(text: str) -> Identity:
     """Parse one identity line; sort-checks both sides and records free variables."""
     lhs, rhs, eq_col = _Parser(text).parse_identity()
-    ls = _sort_of(lhs)
-    rs = _sort_of(rhs)
+    leaves = []
+    ls, rs = _sort_of(lhs, leaves), _sort_of(rhs, leaves)
     if ls != rs:
         raise ParseError(f"left side is {ls}-valued but right side is {rs}-valued", eq_col)
-    return Identity(text=text, lhs=lhs, rhs=rhs, free_vars=_free_vars(lhs, rhs), sort=ls)
+    free_vars = tuple(dict.fromkeys(leaf.name for leaf in leaves if isinstance(leaf, Var)))
+    return Identity(text=text, lhs=lhs, rhs=rhs, free_vars=free_vars, sort=ls)
 
 
 def pretty(expr: Expr) -> str:
@@ -493,18 +495,11 @@ class _Gen:
     def value(self, expr: Expr) -> str:
         """The value of `expr`, after writing the statements it needs."""
         if isinstance(expr, Num):
-            try:
-                return self.const(self.ring.coerce(expr.value))
-            except OverflowError:
-                raise EvalError(f"number too large for the {self.backend} backend") from None
+            return self.const(self.ring.coerce(expr.value))
         if isinstance(expr, Var):
             return self.vars[expr.name]
         if isinstance(expr, (Unit, Basis)):
-            index = expr.index if isinstance(expr, Basis) else 0
-            if index >= self.dim:
-                raise EvalError(f"basis element e{index} does not exist at dimension {self.dim}")
-            z = self.ring.zero
-            coeffs = (z,) * index + (self.ring.one,) + (z,) * (self.dim - 1 - index)
+            coeffs = basis(self.dim, getattr(expr, "index", 0), self.backend).coeffs  # i0 is e0
             name = self.const(coeffs)
             self.parts[name] = [self.const(c) for c in coeffs]
             return name
@@ -582,11 +577,15 @@ def evaluate(expr: Expr, env: dict, dim: int, backend: str = EXACT):
     Multiplication follows source order; chains are evaluated left to right
     exactly as parsed.  All free variables must be bound in `env` to HNums of
     the requested dimension and backend.  ValueError for a dimension or
-    backend that does not exist; EvalError for a number beyond the backend's.
+    backend that does not exist; EvalError for an unbound variable, and, with
+    the message a check reports, for a tree `parse` refuses (a sort or depth
+    error), a basis element beyond `dim` or a number beyond the backend's.
     """
     check_dim(dim)
-    scalar_ring(backend)
-    names = _free_vars(expr)
+    try:
+        names = _checked((expr,), dim, backend)
+    except ParseError as err:
+        raise EvalError(err.message) from None
     args = []
     for name in names:
         if name not in env:
@@ -657,19 +656,7 @@ def _prepare(identity, dim: int, backend: str, seed):
     try:
         if isinstance(identity, str):
             identity = parse(identity)
-        coerce = BACKENDS[backend].coerce
-        for node in itertools.chain(_walk(identity.lhs), _walk(identity.rhs)):
-            if isinstance(node, Basis) and node.index >= dim:
-                raise ParseError(
-                    f"basis element e{node.index} does not exist at dimension {dim}",
-                    node.col,
-                )
-            if isinstance(node, Num):
-                try:
-                    coerce(node.value)
-                except OverflowError:
-                    raise ParseError(f"number too large for the {backend} backend",
-                                     node.col) from None
+        _checked((identity.lhs, identity.rhs), dim, backend)
     except ParseError as err:
         return None, CheckReport(
             identity=text, dim=dim, backend=backend, trials=0, failures=0,
@@ -739,7 +726,7 @@ def check_identities(identities, dim: int = 8, backend: str = EXACT, trials: int
     in bursts: a group's all at once, when its first is due.  ValueError at
     once where `check_identity` refuses the options, whatever the identities.
     """
-    check_options(backend, tolerance, trials, coeff_range)
+    check_options(backend, tolerance, trials, coeff_range, seed)
     check_dim(dim)
 
     def samples(count):
@@ -764,21 +751,22 @@ def check_identity(identity, dim: int = 8, backend: str = EXACT, trials: int = 1
     Identity or a source string; parse failures yield a PARSE_ERROR report
     rather than raising.  ValueError where `core.check_options` refuses the
     options (a `trials` or `coeff_range` that is not an int of at least 1, a
-    range beyond what the backend's scalars hold, an unknown backend, a
-    tolerance the backend does not take) or for a dimension outside DIMS.
+    negative `seed`, a range beyond what the backend's scalars hold, an
+    unknown backend, a tolerance the backend does not take) or for a dimension
+    outside DIMS.
     """
     return next(check_identities((identity,), dim, backend, trials, seed, coeff_range,
                                  tolerance))
 
 
 def check_identity_basis(identity, dim: int = 8, backend: str = EXACT,
-                         tolerance: float | None = None, seed: int = 0) -> CheckReport:
+                         tolerance: float | None = None) -> CheckReport:
     """Exhaustive check over single basis elements: every assignment of
     e0..e(dim-1) to every free variable, dim**nvars trials in total.
 
     For low-degree polynomial identities this complements the randomized
-    check; `seed` is only recorded in the report.  ValueError at once for a
-    dimension outside DIMS or options the backend does not take.
+    check; it draws nothing, and its report's seed is 0.  ValueError at once
+    for a dimension outside DIMS or options the backend does not take.
     """
     check_dim(dim)
     check_options(backend, tolerance)
@@ -786,7 +774,7 @@ def check_identity_basis(identity, dim: int = 8, backend: str = EXACT,
         bases = [basis(dim, k, backend).coeffs for k in range(dim)]
         return itertools.product(bases, repeat=count)
 
-    return next(_checks((identity,), samples, dim, backend, tolerance, seed))
+    return next(_checks((identity,), samples, dim, backend, tolerance, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,21 @@ def test_decompose_result_too_long_to_print(fmt):
     assert result.stdout == ""
 
 
+# Coefficients near 10**2200 make a deviation of about 4400 digits.
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_report_too_long_to_print(tmp_path, fmt):
+    path = tmp_path / "false.ids"
+    path.write_text("u1 == u1\nu1*u1 == 0*i0\nu1 == u1\n")
+    code, out, err = _main(["check", str(path), "--trials", "2", "--format", fmt,
+                            "--coeff-range", str(10**2200)])
+    assert code == 3
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: a result has more than {limit} digits and cannot be printed\n"
+    assert out.count("\n") == 1 and "PASS" in out  # the report before it stays
+
+
 def test_decompose_binary64_result_beyond_range():
     # 1e308**3 overflows: the parts would print as inf and nan.
     result = run_cli("decompose", "--backend", "binary64", "--dim", "1", "1e308", "1e308", "1e308")
@@ -513,13 +528,15 @@ FLAG_VALUES = {
     "--backend": ["exact", "binary64"],
     "--trials": TRIALS,
     "--seed": ["0", "-1", str(10**400)],
-    "--coeff-range": ["1", "9", "0", str(10**400), "1e10000000"],
+    "--coeff-range": ["1", "9", "0", str(10**400), "1e10000000", str(10**2200)],
     "--tolerance": ["1e-9", "0", "nan", "inf", "1e10000000", f"1e-{10**400}"],
     "--format": ["text", "json"],
 }
 SCALARS = ["1", "-0.0", "1/2", "1/0", "nan", "inf", "x", "", "1e10000000", "-1e-10000000",
            "1e308", "-1e308", str(10**400), "1e-400"]
-PATHS = [SUITE_FILE, "no/such/file", "."]
+# A false line: at --coeff-range 10**2200 its deviation is too long to print.
+FALSE_FILE = str(Path(__file__).parent / "data" / "false.txt")
+PATHS = [SUITE_FILE, FALSE_FILE, "no/such/file", "."]
 
 
 @st.composite
@@ -570,6 +587,8 @@ def test_any_argv_exits_0_to_3_without_traceback(argv):
     # Options are refused before the file is opened.
     ["check", "/no/such/file", "--trials", "0"],
     ["check", "/no/such/file", "--coeff-range", "0"],
+    ["check", "/no/such/file", "--seed", "-1"],
+    ["suite", "--seed", "-1"],
     # A flag the command does not read is a usage error, not ignored.
     *[["decompose", "--dim", "1", "1", "1", "1", flag, value]
       for flag, value in [("--trials", "5"), ("--seed", "7"), ("--coeff-range", "3"),

@@ -44,6 +44,7 @@ from triprod.dsl import (
     Basis,
     CheckReport,
     EvalError,
+    Identity,
     Mul,
     Num,
     Sub,
@@ -217,6 +218,19 @@ def test_evaluate_rejects_values_of_another_dimension_or_backend():
 def test_evaluate_refuses_a_dimension_or_backend_that_does_not_exist(dim, backend, match):
     with pytest.raises(ValueError, match=match):
         evaluate(parse("1" + "0" * 400 + "*i0 == i0").lhs, {}, dim, backend)
+
+
+def test_evaluate_refuses_an_ill_formed_tree():
+    # A tree built by hand skips `parse`; evaluate applies its rules all the
+    # same, where it would end in RecursionError or TypeError.
+    chain = Var("u")
+    for _ in range(3000):
+        chain = Add(chain, Var("u"))
+    env = {"u": basis(8, 1)}
+    with pytest.raises(EvalError, match="^expression nested too deeply"):
+        evaluate(chain, env, 8, EXACT)
+    with pytest.raises(EvalError, match=r"^scalar factor must be the left operand of '\*'$"):
+        evaluate(Mul(Var("u"), Num(2)), env, 8, EXACT)
 
 
 def test_evaluate_unbound_variable_inside_a_compound():
@@ -466,6 +480,38 @@ def test_check_basis_index_beyond_dim_is_static_error():
     report = check_identity("e7*e7 == -i0", dim=4)
     assert report.status == "PARSE_ERROR"
     assert "dimension 4" in report.message
+    # A parsed identity passes the same rule.
+    assert check_identity(parse("e5*u1 == u1"), dim=4).status == "PARSE_ERROR"
+
+
+BIG = "1" + "0" * 400  # beyond binary64; written BIG in the cases below
+
+
+@pytest.mark.parametrize("text,backend,message", [
+    # Sort errors win over the constants' rules, wherever they are.
+    ("e5 + 1 == u1", EXACT, "col 4: cannot add/subtract vector and scalar values"),
+    ("e5 == 1", EXACT, "col 4: left side is vector-valued but right side is scalar-valued"),
+    ("BIG*u1 == u1 + BIG", BINARY64, "col 412: cannot add/subtract vector and scalar values"),
+    # Of two constants that break them, the leftmost is reported.
+    ("e7*u1 == e5*u1", EXACT, "col 1: basis element e7 does not exist at dimension 4"),
+    ("u1 + BIG*e5 == u1", BINARY64, "col 6: number too large for the binary64 backend"),
+    ("e5*u1 == BIG*u1", BINARY64, "col 1: basis element e5 does not exist at dimension 4"),
+])
+def test_front_end_reports_the_first_rule_broken(text, backend, message):
+    tolerance = 1e-9 if backend == BINARY64 else None
+    report = check_identity(text.replace("BIG", BIG), dim=4, backend=backend, tolerance=tolerance)
+    assert (report.status, report.message) == ("PARSE_ERROR", message)
+
+
+def test_a_hand_built_identity_passes_the_same_rules():
+    # Both sides are walked before any constant is decided: the right side's
+    # sort error wins over the left side's e5.
+    lhs = parse("e5*u1 == u1").lhs
+    identity = Identity(text="built", lhs=lhs, rhs=Mul(Var("u1"), Num(2), 9),
+                        free_vars=("u1",), sort="vector")
+    report = check_identity(identity, dim=4)
+    assert report.message == "col 9: scalar factor must be the left operand of '*'"
+    assert check_identity(identity, dim=8).status == "PARSE_ERROR"
 
 
 def test_check_scalar_identity():
@@ -615,6 +661,14 @@ def test_check_identities_refuses_bad_counts_at_once():
     with pytest.raises(ValueError, match=r"^coeff_range must be an int >= 1, got 0$"):
         core.check_options(EXACT, None, coeff_range=0)
     assert check_identity_basis("u1 == 2*u1").status == "FAIL"  # draws no samples, needs no range
+    # random.Random seeds with |seed|: -1 would draw the samples of 1.
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        core.check_options(EXACT, None, seed=-1)
+    assert check_identity("u1 == u1", seed=0).seed == 0
+    # The basis check draws nothing: it takes no seed, and reports 0.
+    with pytest.raises(TypeError):
+        check_identity_basis("u1 == u1", seed=7)
+    assert check_identity_basis("u1 == u1").seed == 0
     # Options are refused when the check is called, whatever the identity
     # text: a generator, or a PARSE_ERROR report, would hide them.
     for text in ("u1 == u1", "u1 =="):
@@ -624,6 +678,8 @@ def test_check_identities_refuses_bad_counts_at_once():
             (check_identities, dict(backend="nope"), "unknown backend"),
             (check_identities, dict(coeff_range=0), "coeff_range must be an int >= 1"),
             (check_identity, dict(coeff_range=0), "coeff_range must be an int >= 1"),
+            (check_identities, dict(seed=-1), r"^seed must be >= 0, got -1$"),
+            (check_identity, dict(seed=-1), r"^seed must be >= 0, got -1$"),
             (check_identities, dict(tolerance=1e-9), "tolerance applies only"),
             (check_identities, dict(backend=BINARY64), "require a tolerance"),
             (check_identity, dict(tolerance=1e-9), "tolerance applies only"),
