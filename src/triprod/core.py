@@ -296,16 +296,18 @@ class Record:
     fields in `_defaults`, and may leave fields out of `==` and `hash` by
     naming them in `_uncompared`.  When the subclass is defined, a constructor
     specialised to its fields is generated once; it takes them positionally
-    or by keyword.  The constructor fills an instance of a twin class with the
+    or by keyword, except those named in `_derived`, which `__reduce__` also
+    leaves out.  The constructor fills an instance of a twin class with the
     same layout that allows assignment, calls the subclass's `_check` if it
-    has one (to validate, or to fill in a derived value), and then makes the
-    instance a member of the subclass, whose fields cannot be assigned or
-    deleted.
+    has one (to validate, or to fill in the derived fields), and then makes
+    the instance a member of the subclass, whose fields cannot be assigned
+    or deleted.
     """
 
     __slots__ = ()
     _defaults = {}
     _uncompared = ()
+    _derived = ()
 
     def __init_subclass__(cls, twin=False, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -318,8 +320,9 @@ class Record:
             "__setattr__": object.__setattr__,
             "__delattr__": object.__delattr__,
         }, twin=True)
-        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in fields)
-        body = "".join(f"    self.{f} = {f}\n" for f in fields)
+        cls._args = tuple(f for f in fields if f not in cls._derived)
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in cls._args)
+        body = "".join(f"    self.{f} = {f}\n" for f in cls._args)
         if hasattr(cls, "_check"):
             body += "    self._check()\n"
         key = "".join(f"self.{f}, " for f in fields if f not in cls._uncompared)
@@ -355,7 +358,7 @@ class Record:
         return f"{type(self).__qualname__}({body})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields)
+        return type(self), tuple(getattr(self, f) for f in self._args)
 
 
 class HNum(Record):

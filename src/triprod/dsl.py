@@ -20,9 +20,11 @@ significant at dim 8.  Expressions are sorted into scalar-valued (rational
 literals, re, inner, normsq and their sums/products) and vector-valued
 everything else; a scalar may multiply a vector only from the left.  Sort,
 arity and nesting errors (beyond MAX_DEPTH levels) are reported at parse time
-with a column number.  `_sort_of` is the one walk over a tree; `_checked`
-runs it on each tree a check or `evaluate` takes, then refuses a basis element
-beyond the dimension or a literal beyond the backend, so `_Gen` checks nothing.
+with a column number, and by a hand-built `Call` or `Identity` when it is
+built.  `_sort_of` is the one walk over a tree, which also finds its degree;
+`_checked` runs it on each tree a check or `evaluate` takes, then refuses,
+leftmost first, a basis element beyond the dimension, a literal beyond the
+backend or a degree above MAX_DEGREE, so `_Gen` checks nothing.
 
 Checking identities generates one straight-line function from both sides of
 each, `f(v0, v1, ...) -> (lhs, rhs, ...)` over coefficient tuples.  Every
@@ -75,6 +77,10 @@ PARSE_ERROR = "PARSE_ERROR"
 # few frames per level, so this keeps all of them far below Python's recursion
 # limit; the generated function itself is straight-line code.
 MAX_DEPTH = 100
+
+# Highest accepted polynomial degree of a side in its variables' coefficients:
+# an exact value's size grows with it, and one `normsq` doubles it.
+MAX_DEGREE = 64
 
 # Identities parsed and grouped at a time, so also the most checked by one
 # generated function: what a check holds at once grows with it.
@@ -142,14 +148,32 @@ class Mul(Node):
 class Call(Node):
     __slots__ = ("func", "args", "col")
 
+    def _check(self):
+        if self.func not in FUNCTIONS:
+            raise ParseError(f"unknown function {self.func!r}", self.col)
+        arity = FUNCTIONS[self.func][0]
+        if len(self.args) != arity:
+            raise ParseError(f"{self.func} takes {arity} argument{'s' if arity != 1 else ''}, "
+                             f"got {len(self.args)}", self.col)
+
 
 Expr = Var | Num | Unit | Basis | Neg | Add | Sub | Mul | Call
 
 
-class Identity(Record):
-    """Parsed identity: two expressions of equal sort plus their free variables."""
+class Identity(Node):
+    """Two expressions of equal sort, `col` being that of `==`; the free
+    variables, in order of appearance, and the sort are derived from them."""
 
-    __slots__ = ("text", "lhs", "rhs", "free_vars", "sort")
+    __slots__ = ("text", "lhs", "rhs", "col", "free_vars", "sort")
+    _derived = ("free_vars", "sort")
+
+    def _check(self):
+        leaves = []
+        (ls, _), (rs, _) = _sort_of(self.lhs, leaves), _sort_of(self.rhs, leaves)
+        if ls != rs:
+            raise ParseError(f"left side is {ls}-valued but right side is {rs}-valued", self.col)
+        self.free_vars = tuple(dict.fromkeys(x.name for x in leaves if isinstance(x, Var)))
+        self.sort = ls
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +317,6 @@ class _Parser:
 
     def parse_name(self, name: str, col: int) -> Expr:
         if name in FUNCTIONS:
-            arity = FUNCTIONS[name][0]
             self.expect("(")
             args = [self.nested(self.parse_expr, col)]
             while True:
@@ -304,11 +327,6 @@ class _Parser:
                 else:
                     break
             self.expect(")")
-            if len(args) != arity:
-                raise ParseError(
-                    f"{name} takes {arity} argument{'s' if arity != 1 else ''}, got {len(args)}",
-                    col,
-                )
             return Call(name, tuple(args), col)
         if name == "i0":
             return Unit(col)
@@ -321,34 +339,46 @@ class _Parser:
         return Var(name, col)
 
 
-def _sort_of(expr: Expr, leaves: list, depth: int = 1) -> str:
-    """Sort of an expression, in the one walk over a tree, which appends its
-    leaves to `leaves` left to right; ParseError on sort violations, and on a
-    tree deeper than MAX_DEPTH (a long chain such as u+u+...+u is one)."""
+def _sort_of(expr: Expr, leaves: list, depth: int = 1) -> tuple:
+    """`(sort, degree)` of an expression, in the one walk over a tree, which
+    appends to `leaves` its leaves, left to right, and each node whose degree
+    passes MAX_DEGREE where its operands' do not; ParseError on sort
+    violations, and on a tree deeper than MAX_DEPTH (a long chain such as
+    u+u+...+u is one).  The degree is that of the polynomial in the free
+    variables' coefficients: a product adds its factors' degrees."""
     if depth > MAX_DEPTH:
         raise _too_deep(expr.col)
     depth += 1
     if isinstance(expr, (Num, Var, Unit, Basis)):
         leaves.append(expr)
-        return SCALAR if isinstance(expr, Num) else VECTOR
+        return SCALAR if isinstance(expr, Num) else VECTOR, int(isinstance(expr, Var))
     if isinstance(expr, Neg):
         return _sort_of(expr.operand, leaves, depth)
-    if isinstance(expr, (Add, Sub)):
-        ls, rs = _sort_of(expr.left, leaves, depth), _sort_of(expr.right, leaves, depth)
-        if ls != rs:
-            raise ParseError(f"cannot add/subtract {ls} and {rs} values", expr.col)
-        return ls
-    if isinstance(expr, Mul):
-        ls, rs = _sort_of(expr.left, leaves, depth), _sort_of(expr.right, leaves, depth)
+    if isinstance(expr, (Add, Sub, Mul)):
+        ls, ld = _sort_of(expr.left, leaves, depth)
+        rs, rd = _sort_of(expr.right, leaves, depth)
+        if not isinstance(expr, Mul):
+            if ls != rs:
+                raise ParseError(f"cannot add/subtract {ls} and {rs} values", expr.col)
+            return ls, max(ld, rd)
         if ls == VECTOR and rs == SCALAR:
             raise ParseError("scalar factor must be the left operand of '*'", expr.col)
-        return SCALAR if (ls, rs) == (SCALAR, SCALAR) else VECTOR
-    if isinstance(expr, Call):
+        sort, degrees = SCALAR if (ls, rs) == (SCALAR, SCALAR) else VECTOR, (ld, rd)
+    elif isinstance(expr, Call):
+        degrees = []
         for arg in expr.args:
-            if _sort_of(arg, leaves, depth) != VECTOR:
+            sort, degree = _sort_of(arg, leaves, depth)
+            if sort != VECTOR:
                 raise ParseError(f"{expr.func} takes vector arguments", expr.col)
-        return FUNCTIONS[expr.func][1]
-    raise TypeError(f"unknown node {expr!r}")
+            degrees.append(degree)
+        sort = FUNCTIONS[expr.func][1]
+        if expr.func == "normsq":  # inner(u1, u1): its argument is a factor twice
+            degrees *= 2
+    else:
+        raise TypeError(f"unknown node {expr!r}")
+    if sum(degrees) > MAX_DEGREE >= max(degrees):
+        leaves.append(expr)
+    return sort, sum(degrees)
 
 
 def _too_deep(col: int) -> ParseError:
@@ -358,13 +388,17 @@ def _too_deep(col: int) -> ParseError:
 def _checked(exprs, dim: int, backend: str) -> tuple:
     """The free variables of `exprs` once they pass every rule the generator
     relies on: ParseError for a sort or depth error, then, the walk done, for
-    the leftmost basis element beyond `dim` or literal beyond `backend`."""
+    the leftmost basis element beyond `dim`, literal beyond `backend` or node
+    of degree above MAX_DEGREE."""
     coerce = scalar_ring(backend).coerce
     leaves = []
     for expr in exprs:
         _sort_of(expr, leaves)
-    for leaf in leaves:
-        if isinstance(leaf, Basis) and leaf.index >= dim:
+    # By column: a node of too high a degree follows its operands' leaves.
+    for leaf in sorted(leaves, key=lambda leaf: leaf.col):
+        if isinstance(leaf, (Mul, Call)):
+            raise ParseError(f"polynomial degree above {MAX_DEGREE}", leaf.col)
+        if isinstance(leaf, Basis) and not 0 <= leaf.index < dim:
             raise ParseError(f"basis element e{leaf.index} does not exist at dimension {dim}",
                              leaf.col)
         if isinstance(leaf, Num):
@@ -376,14 +410,8 @@ def _checked(exprs, dim: int, backend: str) -> tuple:
 
 
 def parse(text: str) -> Identity:
-    """Parse one identity line; sort-checks both sides and records free variables."""
-    lhs, rhs, eq_col = _Parser(text).parse_identity()
-    leaves = []
-    ls, rs = _sort_of(lhs, leaves), _sort_of(rhs, leaves)
-    if ls != rs:
-        raise ParseError(f"left side is {ls}-valued but right side is {rs}-valued", eq_col)
-    free_vars = tuple(dict.fromkeys(leaf.name for leaf in leaves if isinstance(leaf, Var)))
-    return Identity(text=text, lhs=lhs, rhs=rhs, free_vars=free_vars, sort=ls)
+    """Parse one identity line; the Identity sort-checks both sides."""
+    return Identity(text, *_Parser(text).parse_identity())
 
 
 def pretty(expr: Expr) -> str:

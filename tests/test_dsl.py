@@ -1,5 +1,7 @@
 import json
+import pickle
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -39,13 +41,17 @@ from triprod import dsl
 from triprod.dsl import (
     FUNCTIONS,
     GROUP_SIZE,
+    MAX_DEGREE,
     MAX_DEPTH,
+    VECTOR,
     Add,
     Basis,
+    Call,
     CheckReport,
     EvalError,
     Identity,
     Mul,
+    Neg,
     Num,
     Sub,
     Unit,
@@ -131,6 +137,49 @@ def test_sort_errors():
         parse("conj(inner(u1,u2)) == u1")
     with pytest.raises(ParseError, match="scalar-valued"):
         parse("u1 == inner(u1,u2)")
+
+
+@pytest.mark.parametrize("text,message", [
+    # The arity error is raised at the call's ')', before any later error.
+    ("conj(u1,u2) == (", "col 1: conj takes 1 argument, got 2"),
+    ("u1*2 == conj(u1,u2)", "col 9: conj takes 1 argument, got 2"),
+    ("u1 == 1", "col 4: left side is vector-valued but right side is scalar-valued"),
+])
+def test_text_errors_keep_their_order(text, message):
+    report = check_identity(text)
+    assert (report.status, report.message) == ("PARSE_ERROR", message)
+
+
+def test_a_call_checks_its_function_and_arity_when_built():
+    u, v = Var("u"), Var("v")
+    with pytest.raises(ParseError, match=r"^col 0: conj takes 1 argument, got 2$"):
+        Call("conj", (u, v))
+    with pytest.raises(ParseError, match=r"^col 3: unknown function 'nope'$"):
+        Call("nope", (u,), 3)
+    with pytest.raises(ParseError, match=r"^col 0: cross3 takes 3 arguments, got 0$"):
+        Call("cross3", ())
+
+
+def test_an_identity_derives_its_free_variables_and_sort():
+    with pytest.raises(ParseError,
+                       match="^col 3: left side is vector-valued but right side is scalar-valued$"):
+        Identity("u == 1", Var("u"), Num(1), 3)
+    identity = Identity("u == w", Var("u"), Var("w"))
+    assert (identity.free_vars, identity.sort, identity.col) == (("u", "w"), VECTOR, 0)
+    assert check_identity(identity, trials=2).status == "FAIL"
+    for derived in ("free_vars", "sort"):
+        with pytest.raises(TypeError):
+            Identity("u == u", Var("u"), Var("u"), **{derived: identity.free_vars})
+
+
+def test_a_parsed_identity_round_trips():
+    identity = parse(DECOMPOSITION_LINE)
+    assert identity.col == DECOMPOSITION_LINE.index("==") + 1
+    for copied in (pickle.loads(pickle.dumps(identity)),
+                   Identity(identity.text, identity.lhs, identity.rhs, identity.col)):
+        assert copied == identity
+        assert (copied.free_vars, copied.sort, copied.col) == (
+            identity.free_vars, identity.sort, identity.col)
 
 
 def test_function_name_requires_call():
@@ -504,14 +553,71 @@ def test_front_end_reports_the_first_rule_broken(text, backend, message):
 
 
 def test_a_hand_built_identity_passes_the_same_rules():
-    # Both sides are walked before any constant is decided: the right side's
-    # sort error wins over the left side's e5.
+    # Both sides are walked when the identity is built, before any constant
+    # is decided: the right side's sort error wins over the left side's e5.
     lhs = parse("e5*u1 == u1").lhs
-    identity = Identity(text="built", lhs=lhs, rhs=Mul(Var("u1"), Num(2), 9),
-                        free_vars=("u1",), sort="vector")
+    with pytest.raises(ParseError,
+                       match=r"^col 9: scalar factor must be the left operand of '\*'$"):
+        Identity("built", lhs, Mul(Var("u1"), Num(2), 9))
+    # The rules that depend on the dim are the check's.
+    identity = Identity("built", lhs, Var("u1"))
     report = check_identity(identity, dim=4)
-    assert report.message == "col 9: scalar factor must be the left operand of '*'"
-    assert check_identity(identity, dim=8).status == "PARSE_ERROR"
+    assert (report.status, report.message) == (
+        "PARSE_ERROR", "col 1: basis element e5 does not exist at dimension 4")
+    assert check_identity(identity, dim=8).status == "FAIL"
+
+
+def _tower(levels: int) -> str:
+    """u1 wrapped `levels` times in normsq(...)*i0: degree 2**levels."""
+    text = "u1"
+    for _ in range(levels):
+        text = f"normsq({text})*i0"
+    return text
+
+
+def test_degree_is_capped():
+    assert MAX_DEGREE == 64
+    line = f"{_tower(6)} == {_tower(6)}"
+    assert check_identity(line, dim=1, trials=2, seed=1).status == "PASS"
+    assert evaluate(parse(line).lhs, {"u1": hnum([2])}, 1) == hnum([2**64])
+    over = check_identity(f"{_tower(6)}*u1 == u1", dim=1, trials=2)
+    assert over.message == f"col {len(_tower(6)) + 1}: polynomial degree above 64"
+
+
+@pytest.mark.parametrize("text,message", [
+    # Of the rules applied once the walk is done, the leftmost broken wins.
+    ("normsq(e5 + TOWER6)*i0 == u1", "col 1: polynomial degree above 64"),
+    ("e5*u1 + TOWER7 == u1", "col 1: basis element e5 does not exist at dimension 4"),
+    # A sort error wins wherever it is.
+    ("TOWER7 + 1 == u1", f"col {len(_tower(7)) + 2}: cannot add/subtract vector and scalar values"),
+])
+def test_degree_rule_keeps_the_order_of_the_rules(text, message):
+    text = text.replace("TOWER6", _tower(6)).replace("TOWER7", _tower(7))
+    report = check_identity(text, dim=4)
+    assert (report.status, report.message) == ("PARSE_ERROR", message)
+
+
+_HANG = f"{_tower(26)} == {_tower(26)}"  # uncapped, seed 1 draws -5 and computes 5**(2**26)
+
+
+def test_a_line_that_would_hang_is_refused(tmp_path):
+    path = tmp_path / "hang.txt"
+    path.write_text(_HANG + "\n")
+    # Run apart, under a timeout, so a missing cap fails and never hangs the suite.
+    result = subprocess.run([sys.executable, "-m", "triprod", "check", str(path), "--dim", "1",
+                             "--trials", "1", "--seed", "1"],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 3
+    assert result.stdout == f"line 1: PARSE_ERROR | {_HANG} | col 134: polynomial degree above 64\n"
+    code = ("import sys\n"
+            "from triprod import EvalError, evaluate, hnum, parse\n"
+            "try:\n"
+            "    evaluate(parse(sys.argv[1]).lhs, {'u1': hnum([-5])}, 1)\n"
+            "except EvalError as err:\n"
+            "    print(err)\n")
+    result = subprocess.run([sys.executable, "-c", code, _HANG],
+                            capture_output=True, text=True, timeout=60)
+    assert result.stdout == "polynomial degree above 64\n", result.stderr
 
 
 def test_check_scalar_identity():
@@ -715,6 +821,57 @@ def test_any_text_yields_a_report(text, dim, options):
     backend, tolerance = options
     report = check_identity(text, dim=dim, backend=backend, trials=2, tolerance=tolerance)
     assert isinstance(report, CheckReport)
+    assert report.status in ("PASS", "FAIL", "PARSE_ERROR")
+
+
+_NAMES = ("u", "v", "w", "", "u 1")  # all but "w" bound in the fuzz's evaluate
+_COLS = st.integers(min_value=0, max_value=99)
+_LEAVES = st.one_of(
+    st.tuples(st.just(Var), st.sampled_from(_NAMES), _COLS),
+    st.tuples(st.just(Num), st.one_of(st.fractions(max_denominator=9),
+                                      st.just(Fraction(10**400))), _COLS),
+    st.tuples(st.just(Unit), _COLS),
+    st.tuples(st.just(Basis), st.integers(min_value=-2, max_value=9), _COLS),
+)
+_RECIPES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.tuples(st.just(Neg), inner, _COLS),
+    st.tuples(st.sampled_from([Add, Sub, Mul]), inner, inner, _COLS),
+    st.tuples(st.just(Call), st.sampled_from([*FUNCTIONS, "nope", "_mul"]),
+              st.lists(inner, min_size=1, max_size=3).map(tuple), _COLS),
+), max_leaves=12)
+
+
+def _build(recipe):
+    """The node a recipe names, built from the node classes as a caller would."""
+    cls, *fields = recipe
+    if cls is Call:
+        func, args, col = fields
+        return Call(func, tuple(map(_build, args)), col)
+    return cls(*(_build(f) if isinstance(f, tuple) else f for f in fields))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECIPES, _RECIPES, st.sampled_from(DIMS),
+       st.sampled_from([(EXACT, None), (BINARY64, 1e-9)]))
+def test_any_hand_built_tree_is_refused_or_checked(lhs, rhs, dim, options):
+    # A hand-built tree is refused when built, or checked; evaluating it gives
+    # a value or EvalError.  Never TypeError, KeyError or RecursionError.
+    backend, tolerance = options
+    try:
+        sides = _build(lhs), _build(rhs)
+    except ParseError:  # a call of an unknown function or of the wrong arity
+        return
+    env = {name: basis(dim, dim - 1, backend) for name in _NAMES if name != "w"}
+    for side in sides:
+        try:
+            evaluate(side, env, dim, backend)
+        except EvalError:
+            pass
+    try:
+        identity = Identity("built", *sides)
+    except ParseError:
+        return
+    report = check_identity(identity, dim=dim, backend=backend, trials=2, tolerance=tolerance)
     assert report.status in ("PASS", "FAIL", "PARSE_ERROR")
 
 

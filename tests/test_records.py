@@ -36,7 +36,7 @@ from triprod import (
     scale,
     sub,
 )
-from triprod.dsl import Add, Basis, Call, Mul, Neg, Num, Sub, Unit, Var
+from triprod.dsl import Add, Basis, Call, Identity, Mul, Neg, Num, Sub, Unit, Var
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -62,6 +62,7 @@ RECORDS = [
     (Var("u1", 3), "name"),
     (Var("u1", 3), "col"),
     (parse("u1 == u1"), "lhs"),
+    (parse("u1 == u1"), "free_vars"),
     (check_identity("u1 == u1", dim=2, trials=1), "status"),
 ]
 
@@ -95,6 +96,7 @@ NODES = [
     lambda col: Sub(_X, _Y, col),
     lambda col: Mul(_X, _Y, col),
     lambda col: Call("conj", (_X,), col),
+    lambda col: Identity("x == x", _X, _X, col),
 ]
 
 
