@@ -13,10 +13,12 @@ quaternions sit inside the octonions as coordinates 0..3).
 `_t_mul` states this recursion on coefficient tuples and is the definition of
 the product.  At import it is run once per dimension on symbolic operands that
 record each scalar operation, and the recording becomes a straight-line kernel
-that `mul` calls: the same operations in the same order, so exact and binary64
-results are those of the recursion, bit for bit.  `oracle` derives the product
-a second way, from basis indices, and shares no code with this path on purpose;
-their agreement is the differential test of both.
+that `mul` calls: the same products and sums in the same order, with the
+negations folded into the sums that take them (`x - y` for `x + (-y)`; see
+`_Sym`), which is exact, so exact and binary64 results are those of the
+recursion, bit for bit, signed zeros included.  `oracle` derives the
+product a second way, from basis indices, and shares no code with this path
+on purpose; their agreement is the differential test of both.
 
 Two scalar backends are supported, each a scalar ring in the `BACKENDS`
 table, which holds all that depends on the backend, down to a ring's
@@ -157,7 +159,7 @@ class _Exact:
                 return tuple([p // d if not p % d else Fraction(p, d)
                               for p in (xs if n == 1 else [n * x for x in xs])])
             s = n
-        return tuple([p if type(p) is int else _canon(p) for p in [s * x for x in xs]])
+        return tuple([p if type(p := s * x) is int else _canon(p) for x in xs])
 
     @staticmethod
     def finite(x) -> bool:
@@ -514,34 +516,52 @@ def _t_mul(a, b):
 class _Sym:
     """Operand that records the arithmetic done on it as Python source.
 
-    Running `_t_mul` on tuples of these yields, per output coefficient, one
-    expression with every `+`, `-`, `*` and negation of the recursion, nested
-    in the order the recursion performs them.
+    Its value is `sign` times that of `src`.  A negation flips the sign and
+    writes nothing, a product multiplies the signs, and a sum or difference
+    writes the operator the signs make of it: `x - y` for `x + (-y)` and
+    `y - x` for `(-x) + y`.  These are exact in IEEE 754, signed zeros
+    included, and in the rationals.  `-(x + y)` for `(-x) + (-y)` is not:
+    where x + y cancels to 0.0 it gives -0.0 and the recursion 0.0, so that
+    sum, the one place a negation stays, is written `(-x) - y`.  Running
+    `_t_mul` on tuples of these yields, per output coefficient, one
+    expression with the products and sums of the recursion, nested in the
+    order it performs them.
     """
 
-    __slots__ = ("src",)
+    __slots__ = ("src", "sign")
 
-    def __init__(self, src: str):
+    def __init__(self, src: str, sign: int = 1):
         self.src = src
+        self.sign = sign
+
+    def _sum(self, other, sign: int):
+        """self + sign*other, with the signs folded into its operator."""
+        if self.sign > 0:
+            return _Sym(f"({self.src} {'+' if sign * other.sign > 0 else '-'} {other.src})")
+        if sign * other.sign > 0:
+            return _Sym(f"({other.src} - {self.src})")
+        return _Sym(f"((-{self.src}) - {other.src})")
 
     def __add__(self, other):
-        return _Sym(f"({self.src} + {other.src})")
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        return _Sym(f"({self.src} - {other.src})")
+        return self._sum(other, -1)
 
     def __mul__(self, other):
-        return _Sym(f"({self.src} * {other.src})")
+        return _Sym(f"({self.src} * {other.src})", self.sign * other.sign)
 
     def __neg__(self):
-        return _Sym(f"(-{self.src})")
+        return _Sym(self.src, -self.sign)
 
 
 def _generate_kernel(dim: int):
     """Straight-line product for one dimension, generated from `_t_mul`.
 
-    Each coefficient is computed by the same scalar operations in the same
-    order as the recursion, so results agree exactly, bit for bit on floats.
+    Each coefficient is computed by the products and sums of the recursion in
+    its order, with its negations folded into the sums (see `_Sym`), so
+    results agree exactly, bit for bit on floats.  An output whose sign ends
+    negative is negated once; none of DIMS has one.
     """
     a = [f"a{i}" for i in range(dim)]
     b = [f"b{i}" for i in range(dim)]
@@ -550,7 +570,7 @@ def _generate_kernel(dim: int):
         f"def _mul{dim}(a, b):\n"
         f"    {', '.join(a)}, = a\n"
         f"    {', '.join(b)}, = b\n"
-        f"    return ({', '.join(c.src for c in out)},)\n"
+        f"    return ({', '.join(c.src if c.sign > 0 else f'(-{c.src})' for c in out)},)\n"
     )
     namespace = {}
     exec(compile(src, f"<triprod kernel dim {dim}>", "exec"), namespace)

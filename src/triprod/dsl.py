@@ -21,10 +21,12 @@ literals, re, inner, normsq and their sums/products) and vector-valued
 everything else; a scalar may multiply a vector only from the left.  Sort,
 arity and nesting errors (beyond MAX_DEPTH levels) are reported at parse time
 with a column number, and by a hand-built `Call` or `Identity` when it is
-built.  `_sort_of` is the one walk over a tree, which also finds its degree;
-`_checked` runs it on each tree a check or `evaluate` takes, then refuses,
-leftmost first, a basis element beyond the dimension, a literal beyond the
-backend or a degree above MAX_DEGREE, so `_Gen` checks nothing.
+built, as are a hand-built `Num` whose value is not an int or a Fraction and
+a `Basis` whose index is not an int (a bool is neither).  `_sort_of` is the
+one walk over a tree, which also finds its degree; `_checked` runs it on each
+tree a check or `evaluate` takes, then refuses, leftmost first, a basis
+element beyond the dimension, a literal beyond the backend or a degree above
+MAX_DEGREE, so `_Gen` checks nothing.
 
 Checking identities generates one straight-line function from both sides of
 each, `f(v0, v1, ...) -> (lhs, rhs, ...)` over coefficient tuples.  Every
@@ -47,6 +49,7 @@ PASS is a property-check verdict ("no counterexample found"), not a proof.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -120,6 +123,10 @@ class Var(Node):
 class Num(Node):
     __slots__ = ("value", "col")
 
+    def _check(self):
+        if type(self.value) not in (int, Fraction):
+            raise ParseError(f"literal {self.value!r} is not an int or a Fraction", self.col)
+
 
 class Unit(Node):
     __slots__ = ("col",)
@@ -127,6 +134,10 @@ class Unit(Node):
 
 class Basis(Node):
     __slots__ = ("index", "col")
+
+    def _check(self):
+        if type(self.index) is not int:
+            raise ParseError(f"basis index {self.index!r} is not an int", self.col)
 
 
 class Neg(Node):
@@ -510,8 +521,8 @@ class _Gen:
 
     def neg(self, a: str) -> str:
         if a in self.parts:
-            return self.vec([f"-{x}" for x in self.elems(a)])
-        return self.let(f"-{a}")
+            return self.vec([_negated(x) for x in self.elems(a)])
+        return a[1:] if a[0] == "-" else self.let(f"-{a}")
 
     def mul(self, a: str, b: str) -> str:
         if a in self.parts:
@@ -539,7 +550,7 @@ class _Gen:
             if not isinstance(body, str):
                 return body(self, *args)
             outer, self.vars = self.vars, dict(zip(("u1", "u2", "u3"), args))
-            value = self.value(_Parser(body).parse_expr())
+            value = self.value(_body(body))
             self.vars = outer
             return value
         a, b = self.value(expr.left), self.value(expr.right)
@@ -551,7 +562,7 @@ class _Gen:
 
     def conj(self, a):
         first, *rest = self.elems(a)
-        return self.vec([first, *[f"-{x}" for x in rest]])
+        return self.vec([first, *map(_negated, rest)])
 
     def im(self, a):
         return self.vec([self.const(self.ring.zero), *self.elems(a)[1:]])
@@ -563,6 +574,17 @@ class _Gen:
         # Left to right from int 0, as `core.inner`: `+` associates left.
         terms = [f"{x} * {y}" for x, y in zip(self.elems(a), self.elems(b))]
         return self.let(" + ".join([self.const(0), *terms]))
+
+
+def _negated(x: str) -> str:
+    """The negation of a part, a name maybe negated: -(-x) is x, bit for bit."""
+    return x[1:] if x[0] == "-" else f"-{x}"
+
+
+@functools.cache
+def _body(text: str) -> Expr:
+    """The tree of a function's definition in FUNCTIONS, parsed once."""
+    return _Parser(text).parse_expr()
 
 
 # name -> (arity, result sort, definition): the generator's method, or the

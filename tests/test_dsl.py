@@ -160,6 +160,21 @@ def test_a_call_checks_its_function_and_arity_when_built():
         Call("cross3", ())
 
 
+def test_a_leaf_checks_its_value_when_built():
+    # The parser makes Fraction literals and int indices; a hand-built leaf
+    # holding anything else is refused at its column, not deep in a check.
+    with pytest.raises(ParseError, match=r"^col 0: literal 2\.5 is not an int or a Fraction$"):
+        Identity("t", Num(2.5), Num(2.5))
+    for value in ("x", None, True):
+        with pytest.raises(ParseError, match=r"^col 4: literal .* is not an int or a Fraction$"):
+            Num(value, 4)
+    for index in (2.0, True):
+        with pytest.raises(ParseError, match=r"^col 0: basis index .* is not an int$"):
+            Basis(index)
+    assert (Num(Fraction(1, 2)).value, Num(3).value, Basis(7).index) == (Fraction(1, 2), 3, 7)
+    assert check_identity(Identity("t", Mul(Num(3), Basis(7)), Basis(7))).status == "FAIL"
+
+
 def test_an_identity_derives_its_free_variables_and_sort():
     with pytest.raises(ParseError,
                        match="^col 3: left side is vector-valued but right side is scalar-valued$"):
@@ -681,6 +696,38 @@ def test_suite_lines_checked_together_share_products(monkeypatch):
     reports = list(check_identities(builtin_lines(8), dim=8, trials=1))
     assert len(calls) == 74
     assert [r.status for r in reports] == ["PASS"] * len(builtin_lines(8))
+
+
+def test_function_definitions_are_parsed_once(monkeypatch):
+    # Each line is tokenized once per check; the definitions of FUNCTIONS,
+    # once per process.
+    list(check_identities(builtin_lines(8), trials=1))
+    texts = []
+    tokenize = dsl._tokenize
+
+    def counted(text):
+        texts.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(dsl, "_tokenize", counted)
+    list(check_identities(builtin_lines(8), trials=1))
+    assert texts == builtin_lines(8) and len(texts) == 64
+
+
+@pytest.mark.parametrize("text", [
+    "conj(conj(u1)) == u1",
+    "-(-u1) == u1",
+    "-conj(-u1) == conj(u1)",
+    "-re(-u1) == re(u1)",
+])
+def test_generated_source_negates_a_negated_part_once(text):
+    # -(-x) is x bit for bit, so it is written x, never --x.
+    identity = parse(text)
+    gen = dsl._Gen(8, EXACT, 1)
+    gen.vars = {"u1": "v0"}
+    outs = [gen.value(identity.lhs), gen.value(identity.rhs)]
+    assert "--" not in "".join(gen.lines + outs)
+    assert check_identity(text, trials=20).status == "PASS"
 
 
 def _reprs(reports):

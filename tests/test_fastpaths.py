@@ -5,7 +5,10 @@ reproduce `Random.randint`, and `scale` must return what `_canon(s * x)`
 returns, value and type.  Any difference here would change reports.
 """
 
+import dis
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given
 
 from triprod import BINARY64, DIMS, EXACT, HNum, check_identity, mul, scale
-from triprod.core import _canon, _t_mul
+from triprod.core import _KERNELS, _canon, _t_mul
 from triprod.dsl import _sampler
 
 INTS = st.integers(min_value=-10**30, max_value=10**30)
@@ -71,6 +74,41 @@ def test_kernel_matches_recursion_on_random_floats(dim):
         _assert_kernel_matches(coeffs(), coeffs(), BINARY64)
         _assert_kernel_matches(tuple(rng.uniform(-1, 1) for _ in range(dim)),
                                tuple(rng.uniform(-1, 1) for _ in range(dim)), BINARY64)
+
+
+@given(_pairs(st.floats(min_value=-1e150, max_value=1e150)
+              | st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan])))
+def test_kernel_matches_recursion_with_infinities_and_nans(pair):
+    _assert_kernel_matches(*pair, BINARY64)
+
+
+def test_kernel_keeps_the_sign_of_a_cancelled_sum():
+    # Coefficient 7 adds (-x) + (-y) for x = a4*b3 = 0.0 and y = a5*b2 = -0.0:
+    # 0.0 in the recursion, where -(x + y) would give -0.0.
+    a = (0.0, 1.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    b = (-0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0)
+    _assert_kernel_matches(a, b, BINARY64)
+    assert repr(mul(HNum(8, a, BINARY64), HNum(8, b, BINARY64)).coeffs[7]) == "0.0"
+
+
+def _kernel_ops(dim):
+    """(multiplications, additions and subtractions, negations) in the kernel."""
+    ops = Counter()
+    for ins in dis.get_instructions(_KERNELS[dim]):
+        # Python 3.11 on: BINARY_OP, its operator in argrepr; 3.10: BINARY_ADD etc.
+        ops[ins.argrepr if ins.opname == "BINARY_OP" else ins.opname] += 1
+    return (ops["*"] + ops["BINARY_MULTIPLY"],
+            ops["+"] + ops["-"] + ops["BINARY_ADD"] + ops["BINARY_SUBTRACT"],
+            ops["UNARY_NEGATIVE"])
+
+
+@pytest.mark.parametrize("dim,ops", [(1, (1, 0, 0)), (2, (4, 2, 0)), (4, (16, 12, 0)),
+                                     (8, (64, 56, 1))])
+def test_kernel_folds_its_negations_into_sums(dim, ops):
+    # The recursion's conjugations negate 24 scalars per dim-8 product.  Each
+    # is folded into the sum that takes it, but for the one sum of two
+    # negated terms: see the test above.
+    assert _kernel_ops(dim) == ops
 
 
 @pytest.mark.parametrize("dim", DIMS)
