@@ -74,7 +74,8 @@ def _run_checks(args) -> int:
     if args.tolerance is None and BACKENDS[args.backend].needs_tolerance:
         args.tolerance = REL_TOL  # binary64's default
     try:
-        check_options(args.backend, args.tolerance, args.trials, args.coeff_range, args.seed)
+        check_options(args.backend, args.tolerance, args.trials, args.coeff_range, args.seed,
+                      args.dim)
     except ValueError as err:
         return _error(err)
     if args.command == "suite":

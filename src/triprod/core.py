@@ -242,15 +242,18 @@ def check_dim(dim) -> None:
         raise ValueError(f"dimension must be one of {DIMS}, got {dim}")
 
 
-def check_options(backend: str, tolerance, trials: int = 1, coeff_range: int = 1, seed=0) -> None:
-    """The rule every check's options follow, ValueError where they break it:
-    `trials` and `coeff_range` are ints of at least 1 (a range of 0 samples
-    only zeros, which pass false identities), an int `seed` is at least 0 (as
+def check_options(backend: str, tolerance, trials: int = 1, coeff_range: int = 1, seed=0,
+                  dim: int = 8) -> None:
+    """The rule every check's options follow, ValueError where they break it,
+    for the first of them in this order: `dim` follows `check_dim`, `trials`
+    and `coeff_range` are ints of at least 1 (a range of 0 samples only
+    zeros, which pass false identities), an int `seed` is at least 0 (as
     `random.Random` seeds with |seed|, -1 would name the samples of 1),
-    samples up to `coeff_range` must be scalars of `backend`, and a backend
-    that compares within a tolerance needs a positive, finite one.  The
-    defaults are those of a check that draws no samples, as
+    `backend` names a ring, samples up to `coeff_range` must be its scalars,
+    and a backend that compares within a tolerance needs a positive, finite
+    one.  The defaults are those of a dim-8 check that draws no samples, as
     `check_identity_basis`."""
+    check_dim(dim)
     for name, count in (("trials", trials), ("coeff_range", coeff_range)):
         if not isinstance(count, int) or count < 1:
             raise ValueError(f"{name} must be an int >= 1, got {count!r}")
@@ -372,8 +375,7 @@ class HNum(Record):
         check_dim(self.dim)
         if len(self.coeffs) != self.dim:
             raise ValueError(f"expected {self.dim} coefficients, got {len(self.coeffs)}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
+        scalar_ring(self.backend)
 
     # Operators are conveniences; the module-level functions are the API.
     def __add__(self, other):
@@ -418,7 +420,8 @@ def hnum(values, backend: str = EXACT) -> HNum:
 
 
 def zero(dim: int, backend: str = EXACT) -> HNum:
-    return HNum(dim, (scalar_ring(backend).zero,) * dim, backend)
+    check_dim(dim)
+    return _hnum(dim, (scalar_ring(backend).zero,) * dim, backend)
 
 
 def unit(dim: int, backend: str = EXACT) -> HNum:
@@ -433,12 +436,13 @@ def basis(dim: int, k: int, backend: str = EXACT) -> HNum:
         raise ValueError(f"basis index {k} out of range for dimension {dim}")
     ring = scalar_ring(backend)
     z = ring.zero
-    return HNum(dim, (z,) * k + (ring.one,) + (z,) * (dim - 1 - k), backend)
+    return _hnum(dim, (z,) * k + (ring.one,) + (z,) * (dim - 1 - k), backend)
 
 
 def embed(u: HNum, dim: int) -> HNum:
     """Widen `u` into a larger algebra by zero-padding (explicit, never implicit)."""
-    if dim not in DIMS or dim < u.dim:
+    check_dim(dim)
+    if dim < u.dim:
         raise ValueError(f"cannot embed dimension {u.dim} into {dim}")
     if dim == u.dim:
         return u

@@ -159,7 +159,7 @@ def _run(form: str, u1: HNum, u2: HNum, u3: HNum) -> tuple:
     key = (form, u1.dim, u1.backend)
     f = _FUNCS.get(key)
     if f is None:
-        exprs = [dsl._Parser(text).parse_expr() for text in _FORMS[form]]
+        exprs = [dsl._body(text) for text in _FORMS[form]]
         names = [("u1", "u2", "u3")] * len(exprs)
         f = _FUNCS[key] = dsl._generate(exprs, names, u1.dim, u1.backend)
     return f(u1.coeffs, u2.coeffs, u3.coeffs)

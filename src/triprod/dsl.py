@@ -39,12 +39,16 @@ variable integer coefficients from a seeded generator, the values
 the backend's ring (`core.BACKENDS`).  Variables are bound by position, so
 identities with equally many free variables see the same samples:
 `check_identities` checks those among each GROUP_SIZE lines together, with one
-function, and whatever they share is computed once per trial.  Each report is
-the one the identity gets when checked alone, byte for byte; they arrive in
-bursts, a group's at once.  The ring's `compare` decides each trial, as no
-scalar comparison is made here: whether the sides differ, exactly on the exact
-backend, beyond the tolerance or not finite on binary64, and by how much.  A
-PASS is a property-check verdict ("no counterexample found"), not a proof.
+function, and whatever they share is computed once per trial.  A group is
+made when its first line is due, from the lines of its batch with as many
+free variables.  Each report is the one the identity gets when checked alone,
+byte for byte; they arrive in bursts, a group's at once.  Every check passes
+its options, the dimension among them, to one call of `core.check_options`,
+so each refuses the same first bad option.  The ring's `compare` decides
+each trial, as no scalar comparison is made here: whether the sides differ,
+exactly on the exact backend, beyond the tolerance or not finite on binary64,
+and by how much.  A PASS is a property-check verdict ("no counterexample
+found"), not a proof.
 """
 
 from __future__ import annotations
@@ -259,54 +263,46 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
+    def accept(self, ops: str):
+        """The next token, consumed, if it is one of the operators `ops` (the
+        characters of a string, or "=="); None, consuming nothing, if not."""
         tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        if tok[0] == "OP" and tok[1] in ops:
+            self.pos += 1
+            return tok
+        return None
 
     def expect(self, value: str):
-        kind, text, col = self.peek()
-        if kind == "OP" and text == value:
-            return self.next()
-        shown = text if kind != "EOF" else "end of input"
-        raise ParseError(f"expected {value!r}, found {shown!r}", col)
+        tok = self.accept(value)
+        if tok is None:
+            _, text, col = self.tokens[self.pos]
+            raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}", col)
+        return tok
 
     def parse_identity(self) -> tuple:
         lhs = self.parse_expr()
-        self.expect("==")
-        eq_col = self.tokens[self.pos - 1][2]
+        eq_col = self.expect("==")[2]
         rhs = self.parse_expr()
-        kind, text, col = self.peek()
+        kind, text, col = self.tokens[self.pos]
         if kind != "EOF":
             raise ParseError(f"unexpected trailing input {text!r}", col)
         return lhs, rhs, eq_col
 
     def parse_expr(self) -> Expr:
         node = self.parse_term()
-        while True:
-            kind, text, col = self.peek()
-            if kind == "OP" and text in ("+", "-"):
-                self.next()
-                right = self.parse_term()
-                node = (Add if text == "+" else Sub)(node, right, col)
-            else:
-                return node
+        while tok := self.accept("+-"):
+            node = (Add if tok[1] == "+" else Sub)(node, self.parse_term(), tok[2])
+        return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
-        while True:
-            kind, text, col = self.peek()
-            if kind == "OP" and text == "*":
-                self.next()
-                node = Mul(node, self.parse_factor(), col)
-            else:
-                return node
+        while tok := self.accept("*"):
+            node = Mul(node, self.parse_factor(), tok[2])
+        return node
 
     def parse_factor(self) -> Expr:
-        kind, text, col = self.next()
+        kind, text, col = self.tokens[self.pos]
+        self.pos += 1
         if kind == "OP" and text == "-":
             return Neg(self.nested(self.parse_factor, col), col)
         if kind == "OP" and text == "(":
@@ -323,20 +319,14 @@ class _Parser:
             return Num(value, col)
         if kind == "NAME":
             return self.parse_name(text, col)
-        shown = text if kind != "EOF" else "end of input"
-        raise ParseError(f"expected expression, found {shown!r}", col)
+        raise ParseError(f"expected expression, found {text or 'end of input'!r}", col)
 
     def parse_name(self, name: str, col: int) -> Expr:
         if name in FUNCTIONS:
             self.expect("(")
             args = [self.nested(self.parse_expr, col)]
-            while True:
-                kind, text, tcol = self.peek()
-                if kind == "OP" and text == ",":
-                    self.next()
-                    args.append(self.nested(self.parse_expr, col))
-                else:
-                    break
+            while self.accept(","):
+                args.append(self.nested(self.parse_expr, col))
             self.expect(")")
             return Call(name, tuple(args), col)
         if name == "i0":
@@ -583,7 +573,8 @@ def _negated(x: str) -> str:
 
 @functools.cache
 def _body(text: str) -> Expr:
-    """The tree of a function's definition in FUNCTIONS, parsed once."""
+    """The tree of definition text, a body in FUNCTIONS or a form in `decomp`,
+    parsed once."""
     return _Parser(text).parse_expr()
 
 
@@ -701,19 +692,19 @@ def _run_check(identities, samples, dim, backend, tolerance, seed) -> list:
 
 
 def _prepare(identity, dim: int, backend: str, seed):
-    """`(identity, None)`, parsed if it was text, or `(None, a PARSE_ERROR report)`."""
+    """The identity, parsed if it was text, or its PARSE_ERROR report."""
     text = identity if isinstance(identity, str) else identity.text
     try:
         if isinstance(identity, str):
             identity = parse(identity)
         _checked((identity.lhs, identity.rhs), dim, backend)
     except ParseError as err:
-        return None, CheckReport(
+        return CheckReport(
             identity=text, dim=dim, backend=backend, trials=0, failures=0,
             max_deviation=0, witness=None, status=PARSE_ERROR, seed=seed,
             message=str(err),
         )
-    return identity, None
+    return identity
 
 
 def _sampler(rng: random.Random, bound: int):
@@ -740,27 +731,25 @@ def _sampler(rng: random.Random, bound: int):
 
 
 def _checks(identities, samples, dim, backend, tolerance, seed):
-    """Yield a report per identity, in order.  The identities are taken
-    GROUP_SIZE at a time; of those, the ones with equally many free
-    variables, `count`, are checked together by `_run_check` on
-    `samples(count)`, when the first of them is due."""
+    """Yield a report per identity, in order, taking GROUP_SIZE at a time.
+    When the first of a batch's identities with `count` free variables is
+    due, its group, all of those, is made and checked together by
+    `_run_check` on `samples(count)`."""
     identities = iter(identities)
-    while batch := list(itertools.islice(identities, GROUP_SIZE)):
-        prepared = [_prepare(identity, dim, backend, seed) for identity in batch]
-        groups = {}  # free-variable count -> the indices of its identities
-        for index, (identity, _) in enumerate(prepared):
-            if identity is not None:
-                groups.setdefault(len(identity.free_vars), []).append(index)
-        firsts = {group[0]: group for group in groups.values()}
-        done = {}
-        for index, (identity, report) in enumerate(prepared):
-            if index in firsts:
-                group = firsts[index]
-                members = [prepared[i][0] for i in group]
-                reports = _run_check(members, samples(len(identity.free_vars)), dim, backend,
-                                     tolerance, seed)
-                done.update(zip(group, reports))
-            yield report if report is not None else done.pop(index)
+    while batch := [_prepare(identity, dim, backend, seed)
+                    for identity in itertools.islice(identities, GROUP_SIZE)]:
+        reports = {}  # free-variable count -> its group's reports, in order
+        for item in batch:
+            if isinstance(item, CheckReport):
+                yield item
+                continue
+            count = len(item.free_vars)
+            if count not in reports:
+                group = [x for x in batch
+                         if not isinstance(x, CheckReport) and len(x.free_vars) == count]
+                reports[count] = iter(_run_check(group, samples(count), dim, backend,
+                                                tolerance, seed))
+            yield next(reports[count])
 
 
 def check_identities(identities, dim: int = 8, backend: str = EXACT, trials: int = 1000,
@@ -776,8 +765,7 @@ def check_identities(identities, dim: int = 8, backend: str = EXACT, trials: int
     in bursts: a group's all at once, when its first is due.  ValueError at
     once where `check_identity` refuses the options, whatever the identities.
     """
-    check_options(backend, tolerance, trials, coeff_range, seed)
-    check_dim(dim)
+    check_options(backend, tolerance, trials, coeff_range, seed, dim)
 
     def samples(count):
         from_ints = BACKENDS[backend].from_ints
@@ -800,10 +788,10 @@ def check_identity(identity, dim: int = 8, backend: str = EXACT, trials: int = 1
     coeff_range) inputs produce identical reports.  `identity` may be an
     Identity or a source string; parse failures yield a PARSE_ERROR report
     rather than raising.  ValueError where `core.check_options` refuses the
-    options (a `trials` or `coeff_range` that is not an int of at least 1, a
-    negative `seed`, a range beyond what the backend's scalars hold, an
-    unknown backend, a tolerance the backend does not take) or for a dimension
-    outside DIMS.
+    options, naming the first bad one in its order: a dimension outside DIMS,
+    a `trials` or `coeff_range` that is not an int of at least 1, a negative
+    `seed`, an unknown backend, a range beyond what the backend's scalars
+    hold, a tolerance the backend does not take.
     """
     return next(check_identities((identity,), dim, backend, trials, seed, coeff_range,
                                  tolerance))
@@ -816,10 +804,11 @@ def check_identity_basis(identity, dim: int = 8, backend: str = EXACT,
 
     For low-degree polynomial identities this complements the randomized
     check; it draws nothing, and its report's seed is 0.  ValueError at once
-    for a dimension outside DIMS or options the backend does not take.
+    where `core.check_options` refuses the dimension, backend or tolerance,
+    in its order.
     """
-    check_dim(dim)
-    check_options(backend, tolerance)
+    check_options(backend, tolerance, dim=dim)
+
     def samples(count):
         bases = [basis(dim, k, backend).coeffs for k in range(dim)]
         return itertools.product(bases, repeat=count)

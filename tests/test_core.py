@@ -66,6 +66,31 @@ def test_vector_space_ops():
     assert scale(Fraction(1, 2), scale(2, e1)) == e1
 
 
+@pytest.mark.parametrize("backend", [EXACT, BINARY64])
+@pytest.mark.parametrize("dim", DIMS)
+def test_operators_are_the_functions(dim, backend):
+    rng = random.Random(dim)
+    u, v = rand_hnum(rng, dim, backend), rand_hnum(rng, dim, backend)
+    s = coerce_scalar(Fraction(-3, 2) if backend == EXACT else -1.5, backend)
+    assert u + v == add(u, v)
+    assert u - v == sub(u, v)
+    assert -u == negate(u)
+    assert u * v == mul(u, v)
+    assert u * s == scale(s, u)
+    assert s * u == scale(s, u)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: zero(8.0),
+    lambda: zero("8"),
+    lambda: embed(hnum([1, 2, 3, 4]), 8.0),
+    lambda: embed(hnum([1]), 2.0),
+])
+def test_zero_and_embed_apply_the_dimension_rule(make):
+    with pytest.raises(ValueError, match=r"^dimension must be one of \(1, 2, 4, 8\), got "):
+        make()
+
+
 def test_dimension_and_backend_mismatch():
     a4 = unit(4)
     a8 = unit(8)

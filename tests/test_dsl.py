@@ -212,6 +212,13 @@ def test_zero_denominator():
         parse("1/0*i0 == i0")
 
 
+def test_denominators_of_several_digits():
+    assert parse("22/7*i0 == i0").lhs.left == Num(Fraction(22, 7))
+    assert parse("100/314*i0 == i0").lhs.left == Num(Fraction(50, 157))
+    assert check_identity("22/17*u1 - 5/17*u1 == u1", trials=20).status == "PASS"
+    assert check_identity("22/17*u1 - 5/17*u1 == 2*u1", trials=20).status == "FAIL"
+
+
 # --- pretty printing ---------------------------------------------------------
 
 
@@ -231,6 +238,7 @@ def test_round_trip_builtin_suite(line):
 
 def test_round_trip_tricky_forms():
     for text in [
+        "1/23*u1 - 22/7*u2 == 0*i0",
         "-(u1 - u2) - -u3 == 0*i0",
         "1/2*(u1 + u2)*u3 == u3",
         "inner(-u1,u2) - -inner(u1,u2) == 0",
@@ -801,6 +809,23 @@ def test_groups_are_capped_and_checked_when_due(monkeypatch):
     assert made == [2]
     assert [r.status for r in reports] == ["PASS", "PASS"]
     assert made == [2, 1]
+
+
+def test_every_check_refuses_options_in_one_order():
+    # Each check names the same first bad option: the dimension before the
+    # backend, the backend before a tolerance it does not take.
+    for kw, match in [
+        (dict(dim=3, backend="nope"), "dimension must be one of"),
+        (dict(dim=3, backend=BINARY64), "dimension must be one of"),
+        (dict(backend="nope", tolerance=1e-9), "unknown backend"),
+    ]:
+        for check in (check_identity, check_identity_basis):
+            with pytest.raises(ValueError, match=match):
+                check("u1 == u1", **kw)
+        with pytest.raises(ValueError, match=match):
+            check_identities(["u1 == u1"], **kw)
+    with pytest.raises(ValueError, match="trials must be an int"):
+        check_identity("u1 == u1", trials=0, backend="nope")
 
 
 def test_check_identities_refuses_bad_counts_at_once():

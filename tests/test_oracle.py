@@ -4,6 +4,7 @@ import pytest
 
 from conftest import rand_hnum
 from triprod import (
+    BINARY64,
     DIMS,
     GramMatrix,
     add,
@@ -74,6 +75,11 @@ def test_mul_table_unit_law():
 def test_mul_table_dimension_check():
     with pytest.raises(ValueError):
         mul_table(unit(4), unit(4), TABLE8)
+
+
+def test_mul_table_backend_check():
+    with pytest.raises(ValueError, match=r"^backend mismatch: exact vs binary64$"):
+        mul_table(unit(8), unit(8, BINARY64), TABLE8)
 
 
 def test_lower_dimension_tables_are_leading_blocks():
