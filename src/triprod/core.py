@@ -11,12 +11,15 @@ half of the coefficients of a dim-2n value is a dim-n subalgebra (so the
 quaternions sit inside the octonions as coordinates 0..3).
 
 `_t_mul` states this recursion on coefficient tuples and is the definition of
-the product.  At import it is run once per dimension on symbolic operands that
-record each scalar operation, and the recording becomes a straight-line kernel
-that `mul` calls: the same products and sums in the same order, with the
+the product, with one special case, at dim 4, that makes the recursion's
+products but adds them in another order, so on floats its results are not
+the plain recursion's: that order is part of the definition.  At import
+`_t_mul` is run once per dimension on symbolic operands that record each
+scalar operation, and the recording becomes a straight-line kernel that
+`mul` calls: the same products and sums in the same order, with the
 negations folded into the sums that take them (`x - y` for `x + (-y)`; see
-`_Sym`), which is exact, so exact and binary64 results are those of the
-recursion, bit for bit, signed zeros included.  `oracle` derives the
+`_Sym`), which is exact, so exact and binary64 results are those of
+`_t_mul`, bit for bit, signed zeros included.  `oracle` derives the
 product a second way, from basis indices, and shares no code with this path
 on purpose; their agreement is the differential test of both.
 
@@ -299,14 +302,17 @@ class Record:
 
     A subclass names its fields in `__slots__`, may give defaults for trailing
     fields in `_defaults`, and may leave fields out of `==` and `hash` by
-    naming them in `_uncompared`.  When the subclass is defined, a constructor
-    specialised to its fields is generated once; it takes them positionally
-    or by keyword, except those named in `_derived`, which `__reduce__` also
-    leaves out.  The constructor fills an instance of a twin class with the
-    same layout that allows assignment, calls the subclass's `_check` if it
-    has one (to validate, or to fill in the derived fields), and then makes
-    the instance a member of the subclass, whose fields cannot be assigned
-    or deleted.
+    naming them in `_uncompared`.  A slot whose name starts with `_` is not a
+    field but private state that `_check` fills: the constructor, `==`,
+    `hash`, the repr and `__reduce__` leave it out, so a copy rebuilds it.
+    When the subclass is defined, a constructor specialised to its fields is
+    generated once; it takes them positionally or by keyword, except those
+    named in `_derived`, which `__reduce__` also leaves out.  The constructor
+    fills an instance of a twin class with the same layout that allows
+    assignment, calls the subclass's `_check` if it has one (to validate, or
+    to fill in the derived fields and the private state), and then makes the
+    instance a member of the subclass, whose slots cannot be assigned or
+    deleted.
     """
 
     __slots__ = ()
@@ -316,7 +322,8 @@ class Record:
 
     def __init_subclass__(cls, twin=False, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = tuple(f for c in reversed(cls.__mro__) for f in vars(c).get("__slots__", ()))
+        fields = tuple(f for c in reversed(cls.__mro__) for f in vars(c).get("__slots__", ())
+                       if f[0] != "_")
         if twin or not fields:
             return
         cls._fields = cls.__match_args__ = fields
@@ -430,8 +437,11 @@ def unit(dim: int, backend: str = EXACT) -> HNum:
 
 
 def basis(dim: int, k: int, backend: str = EXACT) -> HNum:
-    """Canonical basis element e_k (e0 is the unit i0)."""
+    """Canonical basis element e_k (e0 is the unit i0); ValueError unless `k`
+    is an int (a bool is not one) below `dim`."""
     check_dim(dim)
+    if type(k) is not int:
+        raise ValueError(f"basis index must be an int, got {k!r}")
     if not 0 <= k < dim:
         raise ValueError(f"basis index {k} out of range for dimension {dim}")
     ring = scalar_ring(backend)
@@ -491,8 +501,10 @@ def _t_sub(a, b):
 def _t_mul(a, b):
     # Doubling recursion on raw coefficient tuples; base case is the reals.
     # This is the definition of the product: `mul` runs the straight-line
-    # kernels generated from it below.  Dims 2 and 4 are the same recursion
-    # expanded in place; the kernels inherit that operation order.
+    # kernels generated from it below.  The dim-4 case is part of that
+    # definition: it has the recursion's products but adds them in another
+    # order, so on floats its results differ from the plain recursion's in
+    # the last bits, and the dim-4 and dim-8 kernels inherit its order.
     n = len(a)
     if n == 4:
         a0, a1, a2, a3 = a
@@ -503,10 +515,6 @@ def _t_mul(a, b):
             a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
             a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
         )
-    if n == 2:
-        a0, a1 = a
-        b0, b1 = b
-        return (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0)
     if n == 1:
         return (a[0] * b[0],)
     h = n // 2

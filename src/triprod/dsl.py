@@ -23,8 +23,10 @@ arity and nesting errors (beyond MAX_DEPTH levels) are reported at parse time
 with a column number, and by a hand-built `Call` or `Identity` when it is
 built, as are a hand-built `Num` whose value is not an int or a Fraction and
 a `Basis` whose index is not an int (a bool is neither).  `_sort_of` is the
-one walk over a tree, which also finds its degree; `_checked` runs it on each
-tree a check or `evaluate` takes, then refuses, leftmost first, a basis
+one walk over a tree, which also finds its degree and collects its leaves.
+Each tree passes it once: an identity's sides when the `Identity` is built,
+which keeps what the walk found, and `evaluate`'s expression when it is
+called.  On those leaves `_checked` then refuses, leftmost first, a basis
 element beyond the dimension, a literal beyond the backend or a degree above
 MAX_DEGREE, so `_Gen` checks nothing.
 
@@ -177,9 +179,11 @@ Expr = Var | Num | Unit | Basis | Neg | Add | Sub | Mul | Call
 
 class Identity(Node):
     """Two expressions of equal sort, `col` being that of `==`; the free
-    variables, in order of appearance, and the sort are derived from them."""
+    variables, in order of appearance, and the sort are derived from them.
+    The one walk over both sides also keeps, in the private `_leaves`, what
+    `_checked` needs of them, so a check walks neither side again."""
 
-    __slots__ = ("text", "lhs", "rhs", "col", "free_vars", "sort")
+    __slots__ = ("text", "lhs", "rhs", "col", "free_vars", "sort", "_leaves")
     _derived = ("free_vars", "sort")
 
     def _check(self):
@@ -189,6 +193,7 @@ class Identity(Node):
             raise ParseError(f"left side is {ls}-valued but right side is {rs}-valued", self.col)
         self.free_vars = tuple(dict.fromkeys(x.name for x in leaves if isinstance(x, Var)))
         self.sort = ls
+        self._leaves = tuple(leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +391,12 @@ def _too_deep(col: int) -> ParseError:
     return ParseError(f"expression nested too deeply (more than {MAX_DEPTH} levels)", col)
 
 
-def _checked(exprs, dim: int, backend: str) -> tuple:
-    """The free variables of `exprs` once they pass every rule the generator
-    relies on: ParseError for a sort or depth error, then, the walk done, for
-    the leftmost basis element beyond `dim`, literal beyond `backend` or node
-    of degree above MAX_DEGREE."""
+def _checked(leaves, dim: int, backend: str) -> tuple:
+    """The free variables among `leaves`, what `_sort_of` collected from
+    trees that passed its sort and depth rules, once they pass the rules that
+    depend on the check: ParseError for the leftmost basis element beyond
+    `dim`, literal beyond `backend` or node of degree above MAX_DEGREE."""
     coerce = scalar_ring(backend).coerce
-    leaves = []
-    for expr in exprs:
-        _sort_of(expr, leaves)
     # By column: a node of too high a degree follows its operands' leaves.
     for leaf in sorted(leaves, key=lambda leaf: leaf.col):
         if isinstance(leaf, (Mul, Call)):
@@ -623,8 +625,10 @@ def evaluate(expr: Expr, env: dict, dim: int, backend: str = EXACT):
     error), a basis element beyond `dim` or a number beyond the backend's.
     """
     check_dim(dim)
+    leaves = []
     try:
-        names = _checked((expr,), dim, backend)
+        _sort_of(expr, leaves)
+        names = _checked(leaves, dim, backend)
     except ParseError as err:
         raise EvalError(err.message) from None
     args = []
@@ -692,12 +696,13 @@ def _run_check(identities, samples, dim, backend, tolerance, seed) -> list:
 
 
 def _prepare(identity, dim: int, backend: str, seed):
-    """The identity, parsed if it was text, or its PARSE_ERROR report."""
+    """The identity, parsed if it was text, or its PARSE_ERROR report; the
+    check's rules apply to the leaves the identity's walk kept."""
     text = identity if isinstance(identity, str) else identity.text
     try:
         if isinstance(identity, str):
             identity = parse(identity)
-        _checked((identity.lhs, identity.rhs), dim, backend)
+        _checked(identity._leaves, dim, backend)
     except ParseError as err:
         return CheckReport(
             identity=text, dim=dim, backend=backend, trials=0, failures=0,

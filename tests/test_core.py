@@ -50,11 +50,16 @@ def test_unit_invalid_dimension(dim):
 
 def test_basis():
     assert basis(8, 0) == unit(8)
+    assert basis(8, 1).coeffs == (0, 1, 0, 0, 0, 0, 0, 0)
     assert basis(8, 3).coeffs == (0, 0, 0, 1, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         basis(4, 7)
     with pytest.raises(ValueError):
         basis(8, -1)
+    # An index that is not an int, as `dsl.Basis` refuses it: a bool is not one.
+    for k in (1.0, "1", True):
+        with pytest.raises(ValueError, match=r"^basis index must be an int, got "):
+            basis(8, k)
 
 
 def test_vector_space_ops():

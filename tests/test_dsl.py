@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 import random
 import subprocess
@@ -18,6 +19,7 @@ from triprod import (
     ParseError,
     acomm2,
     acomm3,
+    add,
     assoc3,
     basis,
     check_identities,
@@ -30,11 +32,13 @@ from triprod import (
     hnum,
     imaginary_part,
     inner,
+    negate,
     norm_sq,
     parse,
     pretty,
     real_coeff,
     scale,
+    sub,
 )
 from triprod import core
 from triprod import dsl
@@ -399,8 +403,15 @@ def test_evaluate_source_order_multiplication():
     assert left != right
 
 
-# Each entry of FUNCTIONS, and scalar times vector, as the library computes it.
+# Each entry of FUNCTIONS, scalar times vector, and the vector sums and
+# negations the generator unrolls, as the library computes them.
 LIBRARY = {
+    "u1 + u2": lambda u1, u2, u3: add(u1, u2),
+    "u1 - u2": lambda u1, u2, u3: sub(u1, u2),
+    "-u1": lambda u1, u2, u3: negate(u1),
+    "-conj(-u1)": lambda u1, u2, u3: negate(conj(negate(u1))),
+    "conj(u1) + u2": lambda u1, u2, u3: add(conj(u1), u2),
+    "u2 - conj(u1)": lambda u1, u2, u3: sub(u2, conj(u1)),
     "conj(u1)": lambda u1, u2, u3: conj(u1),
     "im(u1)": lambda u1, u2, u3: imaginary_part(u1),
     "re(u1)": lambda u1, u2, u3: real_coeff(u1),
@@ -417,7 +428,8 @@ LIBRARY = {
 
 
 def _bits(value):
-    """Type and shortest repr of each coefficient: equal only if bit-identical."""
+    """Type and shortest repr of each coefficient: equal only if bit-identical,
+    but for the sign of a NaN (repr tells -0.0 from 0.0)."""
     coeffs = value.coeffs if isinstance(value, HNum) else (value,)
     return [(type(c), repr(c)) for c in coeffs]
 
@@ -449,6 +461,20 @@ def test_evaluate_matches_library_bit_for_bit_on_binary64(dim):
                     BINARY64)
 
     for _ in range(50):
+        _assert_evaluate_matches_library(value(), value(), value())
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_evaluate_matches_library_bit_for_bit_at_special_values(dim):
+    # Signed zeros show a wrong sign fold, such as 0 - x for -x, that
+    # rounded values never do; infinities and NaNs test the sums' order.
+    rng = random.Random(dim)
+    specials = [0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]
+
+    def value():
+        return hnum([rng.choice(specials) for _ in range(dim)], BINARY64)
+
+    for _ in range(300):
         _assert_evaluate_matches_library(value(), value(), value())
 
 
@@ -788,6 +814,27 @@ def test_checking_together_keeps_each_lines_nan():
                                samples, 1, BINARY64, 1e-9, 0)
     assert first.failures == 1 and first.max_deviation != first.max_deviation
     assert (second.failures, second.max_deviation) == (0, 0.0)
+
+
+def test_each_side_is_walked_once(monkeypatch):
+    # Building the Identity walks both sides; the check reads what it found.
+    walks = []
+    sort_of = dsl._sort_of
+
+    def counted(expr, leaves, depth=1):
+        if depth == 1:
+            walks.append(expr)
+        return sort_of(expr, leaves, depth)
+
+    monkeypatch.setattr(dsl, "_sort_of", counted)
+    lines = builtin_lines(8)
+    assert all(r.status == "PASS" for r in check_identities(lines, trials=1))
+    assert len(walks) == 2 * len(lines) == 128
+    walks.clear()
+    identity = parse(lines[0])
+    check_identity(identity, trials=1)
+    check_identity_basis(identity, dim=2)
+    assert len(walks) == 2
 
 
 def test_groups_are_capped_and_checked_when_due(monkeypatch):

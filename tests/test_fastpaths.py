@@ -6,6 +6,7 @@ returns, value and type.  Any difference here would change reports.
 """
 
 import dis
+import itertools
 import math
 import random
 from collections import Counter
@@ -89,6 +90,30 @@ def test_kernel_keeps_the_sign_of_a_cancelled_sum():
     b = (-0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0)
     _assert_kernel_matches(a, b, BINARY64)
     assert repr(mul(HNum(8, a, BINARY64), HNum(8, b, BINARY64)).coeffs[7]) == "0.0"
+
+
+SPECIALS = [0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]
+
+
+def test_dim2_kernel_is_the_complex_product():
+    # The recursion at dim 2, its products' operands in either order.
+    for a0, a1, b0, b1 in itertools.product(SPECIALS, repeat=4):
+        got = _KERNELS[2]((a0, a1), (b0, b1))
+        assert list(map(repr, got)) == [repr(a0 * b0 - a1 * b1), repr(a0 * b1 + a1 * b0)]
+
+
+def test_dim4_kernel_is_the_dim4_case_of_the_definition():
+    rng = random.Random(4)
+    for _ in range(3000):
+        a0, a1, a2, a3 = a = tuple(rng.choice(SPECIALS + [rng.uniform(-1, 1)]) for _ in range(4))
+        b0, b1, b2, b3 = b = tuple(rng.choice(SPECIALS + [rng.uniform(-1, 1)]) for _ in range(4))
+        expected = (
+            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+        )
+        assert list(map(repr, _KERNELS[4](a, b))) == list(map(repr, expected))
 
 
 def _kernel_ops(dim):

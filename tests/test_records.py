@@ -85,6 +85,21 @@ def test_copies_and_pickles_are_equal(record, name):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
+def test_private_state_is_not_a_field():
+    # An Identity keeps what its walk found in a slot that is no field: the
+    # constructor, ==, hash, repr and pickling see the fields alone, and a
+    # copy rebuilds the private state, so it checks as the original does.
+    identity = parse("u1*e5 == u1")
+    assert Identity._fields == ("text", "lhs", "rhs", "col", "free_vars", "sort")
+    assert "_leaves" not in repr(identity)
+    assert identity.__reduce__()[1] == (identity.text, identity.lhs, identity.rhs, identity.col)
+    with pytest.raises(AttributeError):
+        identity._leaves = ()
+    for twin in (copy.deepcopy(identity), pickle.loads(pickle.dumps(identity))):
+        assert twin._leaves == identity._leaves
+        assert check_identity(twin, dim=4) == check_identity(identity, dim=4)
+
+
 _X, _Y = Var("x"), Var("y")
 NODES = [
     lambda col: Var("u1", col),
