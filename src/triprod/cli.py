@@ -31,9 +31,9 @@ import sys
 from . import decomp
 from .core import (
     BACKENDS,
+    BINARY64,
     DIMS,
     EXACT,
-    REL_TOL,
     DigitsError,
     HNum,
     brief,
@@ -71,8 +71,8 @@ def _check_lines(lines, args, numbered: bool = False) -> set:
 
 def _run_checks(args) -> int:
     """`suite` or `check FILE`: options first, then the file, then the lines."""
-    if args.tolerance is None and BACKENDS[args.backend].needs_tolerance:
-        args.tolerance = REL_TOL  # binary64's default
+    if args.tolerance is None:
+        args.tolerance = BACKENDS[args.backend].tolerance  # the ring's default
     try:
         check_options(args.backend, args.tolerance, args.trials, args.coeff_range, args.seed,
                       args.dim)
@@ -195,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     checks.add_argument("--coeff-range", type=int, default=9,
                         help="sample coefficients in [-N, N] (default 9)")
     checks.add_argument("--tolerance", type=float, default=None,
-                        help="binary64 relative tolerance (default 1e-9)")
+                        help="binary64 relative tolerance "
+                             f"(default {BACKENDS[BINARY64].tolerance})")
 
     parser = _Parser(
         prog="triprod",

@@ -19,20 +19,23 @@ scalar operation, and the recording becomes a straight-line kernel that
 `mul` calls: the same products and sums in the same order, with the
 negations folded into the sums that take them (`x - y` for `x + (-y)`; see
 `_Sym`), which is exact, so exact and binary64 results are those of
-`_t_mul`, bit for bit, signed zeros included.  `oracle` derives the
-product a second way, from basis indices, and shares no code with this path
-on purpose; their agreement is the differential test of both.
+`_t_mul`, bit for bit, signed zeros included, except the sign of a NaN.
+`oracle` derives the product a second way, from basis indices, and shares no
+code with this path on purpose; their agreement is the differential test of
+both.
 
 Two scalar backends are supported, each a scalar ring in the `BACKENDS`
 table, which holds all that depends on the backend, down to a ring's
-`compare`, which decides whether the two sides of a trial differ.  The
-"exact" ring keeps coefficients as rationals (int or Fraction), compared with
-exact equality.  The "binary64" ring keeps float coefficients, compared
-within a tolerance (as `allclose`), never with `==`; a deviation that is not
-finite, from an overflow, always differs.  The exact ring's `scale`, which
-`scale` and the DSL's generated functions call, keeps integer coefficients
-as ints wherever the product by a rational is integral, so halving an even
-sum builds no Fraction.
+default `tolerance` and its `compare`, which decides whether the two sides
+of a trial differ.  The "exact" ring keeps coefficients as rationals (int or
+Fraction), compared with exact equality, and takes no tolerance.  The
+"binary64" ring keeps float coefficients, compared within a tolerance
+(`REL_TOL` by default), never with `==`; a deviation that is not finite,
+from an overflow, always differs.  `allclose` and `scalar_close` apply the
+binary64 ring's `compare`, so a non-finite deviation is never close there
+either.  The exact ring's `scale`, which `scale` and the DSL's generated
+functions call, keeps integer coefficients as ints wherever the product by a
+rational is integral, so halving an even sum builds no Fraction.
 
 Values are immutable and every operation is a pure function.  `HNum(dim,
 coeffs, backend)` validates its arguments; the results that `add`, `sub`,
@@ -60,8 +63,9 @@ BINARY64 = "binary64"
 
 DIMS = (1, 2, 4, 8)
 
-# Default binary64 comparison bounds: relative tolerance against the largest
-# coefficient magnitude in play, with an absolute floor for near-zero data.
+# Binary64 comparison bounds: relative tolerance against the largest input
+# coefficient magnitude (the ring's default), with an absolute floor for
+# near-zero data.
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
@@ -136,7 +140,7 @@ class _Exact:
 
     zero = 0
     one = 1
-    needs_tolerance = False
+    tolerance = None
 
     @staticmethod
     def coerce(value) -> Scalar:
@@ -183,7 +187,7 @@ class _Binary64:
 
     zero = 0.0
     one = 1.0
-    needs_tolerance = True
+    tolerance = REL_TOL
 
     @staticmethod
     def coerce(value) -> float:
@@ -224,7 +228,8 @@ class _Binary64:
         return worst, dev > max(ABS_TOL, tolerance * scale)
 
 
-# Backend name -> scalar ring (a class used as a namespace).  `scale(s, xs)`
+# Backend name -> scalar ring (a class used as a namespace).  `tolerance` is
+# the ring's default, None where it takes none.  `scale(s, xs)`
 # multiplies coefficients `xs` by the ring scalar `s`; `compare(lhs, rhs,
 # tolerance, inputs, worst)` decides a trial on coefficient tuples `inputs`:
 # `(worst, failed)`, the largest deviation yet and whether the sides differ.
@@ -267,7 +272,7 @@ def check_options(backend: str, tolerance, trials: int = 1, coeff_range: int = 1
         ring.coerce(coeff_range)
     except OverflowError:
         raise ValueError(f"coefficient range is too large for the {backend} backend") from None
-    if not ring.needs_tolerance:
+    if ring.tolerance is None:
         if tolerance is not None:
             raise ValueError(f"a tolerance applies only to {BINARY64}, not to {backend}")
     elif tolerance is None:
@@ -572,8 +577,8 @@ def _generate_kernel(dim: int):
 
     Each coefficient is computed by the products and sums of the recursion in
     its order, with its negations folded into the sums (see `_Sym`), so
-    results agree exactly, bit for bit on floats.  An output whose sign ends
-    negative is negated once; none of DIMS has one.
+    results agree exactly, bit for bit on floats, except the sign of a NaN.
+    An output whose sign ends negative is negated once; none of DIMS has one.
     """
     a = [f"a{i}" for i in range(dim)]
     b = [f"b{i}" for i in range(dim)]
@@ -636,26 +641,18 @@ def real_coeff(u: HNum) -> Scalar:
     return u.coeffs[0]
 
 
-def scalar_close(x, y, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL,
-                 scale: float | None = None) -> bool:
-    """Tolerance comparison for binary64 scalars.
-
-    `scale` is the reference magnitude for the relative part; by default the
-    larger magnitude of the two operands.
-    """
-    if scale is None:
-        scale = max(abs(x), abs(y))
-    return abs(x - y) <= max(abs_tol, rel_tol * scale)
+def scalar_close(x, y, rel_tol: float = REL_TOL, scale: float | None = None) -> bool:
+    """Whether binary64 scalars are close by the binary64 ring's `compare`,
+    relative to `scale`, by default the larger magnitude of the two; a
+    deviation that is not finite never is."""
+    return not _Binary64.compare(x, y, rel_tol, [(x, y) if scale is None else (scale,)], 0.0)[1]
 
 
-def allclose(a: HNum, b: HNum, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL,
-             scale: float | None = None) -> bool:
-    """Coefficient-wise tolerance comparison (the only valid binary64 equality)."""
+def allclose(a: HNum, b: HNum, rel_tol: float = REL_TOL) -> bool:
+    """Whether `a` and `b` are close by the binary64 ring's `compare`, relative
+    to their largest coefficient (the only valid binary64 equality)."""
     _check_same(a, b)
-    if scale is None:
-        scale = max((abs(c) for c in a.coeffs + b.coeffs), default=0.0)
-    bound = max(abs_tol, rel_tol * scale)
-    return all(abs(x - y) <= bound for x, y in zip(a.coeffs, b.coeffs))
+    return not _Binary64.compare(a.coeffs, b.coeffs, rel_tol, (a.coeffs, b.coeffs), 0.0)[1]
 
 
 def coeff_str(u: HNum) -> str:

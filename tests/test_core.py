@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import given
@@ -29,6 +30,7 @@ from triprod import (
     negate,
     norm_sq,
     real_coeff,
+    scalar_close,
     scale,
     sub,
     unit,
@@ -375,10 +377,16 @@ def test_binary64_sums_run_left_to_right():
 def test_binary64_differs_only_beyond_the_bound():
     # The bound is max(ABS_TOL, tol * largest input magnitude); a deviation
     # within ABS_TOL passes whatever the inputs, one that is not finite fails.
+    # scalar_close and allclose apply the same rule: close where it passes.
     compare = BACKENDS[BINARY64].compare
 
     def differs(dev, tolerance, inputs):  # a trial whose sides are `dev` apart
-        return compare((dev,), (0.0,), tolerance, inputs, 0.0)[1]
+        failed = compare((dev,), (0.0,), tolerance, inputs, 0.0)[1]
+        scale = max((abs(c) for u in inputs for c in u), default=0.0)
+        assert scalar_close(dev, 0.0, tolerance, scale=scale) is not failed
+        a, b = hnum([dev, scale], BINARY64), hnum([0.0, scale], BINARY64)
+        assert allclose(a, b, tolerance) is not failed
+        return failed
 
     above = math.nextafter(ABS_TOL, math.inf)
     small = [(1e-4, -2e-4), (5e-5,)]  # tol * scale = 2e-13, below ABS_TOL
@@ -393,6 +401,36 @@ def test_binary64_differs_only_beyond_the_bound():
     for dev in (math.nan, math.inf):
         assert differs(dev, 1e-9, small)
         assert differs(dev, 1e-9, [(1e300,)])
+    # An infinite scale is no infinite bound: an overflow is never close.
+    assert not scalar_close(0.0, math.inf)
+    assert not scalar_close(1.0, math.inf, scale=math.inf)
+    assert not allclose(hnum([math.inf, 1.0], BINARY64), hnum([1.0, 1.0], BINARY64))
+
+
+def test_abs_tol_is_read_only_by_the_binary64_compare():
+    # The closeness rule is stated once: allclose and scalar_close call it.
+    tree = ast.parse(Path(triprod.core.__file__).read_text(encoding="utf-8"))
+    (ring,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "_Binary64"]
+    (compare,) = [node for node in ring.body if getattr(node, "name", "") == "compare"]
+    inside = set(ast.walk(compare))
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and node.id == "ABS_TOL" and isinstance(node.ctx, ast.Load)]
+    assert reads and all(node in inside for node in reads)
+
+
+def test_all_names_what_the_package_imports():
+    # __all__ is every name the `from .x import (...)` lines bind, and
+    # `from triprod import *` binds no submodule.
+    tree = ast.parse(Path(triprod.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    assert set(triprod.__all__) == imported
+    namespace = {}
+    exec("from triprod import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == imported
+    assert not any(isinstance(value, ModuleType) for value in namespace.values())
 
 
 def test_compare_decides_a_trial_on_either_ring():

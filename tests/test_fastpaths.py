@@ -1,6 +1,7 @@
 """Each fast path on the checking hot path against the plain code it replaces.
 
-The generated kernels must reproduce `_t_mul` bit for bit, the sampler must
+The generated kernels must reproduce `_t_mul` bit for bit, except the sign of
+a NaN (the fold writes `x - y` for `x + (-y)`), the sampler must
 reproduce `Random.randint`, and `scale` must return what `_canon(s * x)`
 returns, value and type.  Any difference here would change reports.
 """
@@ -27,7 +28,8 @@ FLOATS = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
 
 
 def _exact(x):
-    """Type and shortest repr: equal only if bit-identical (tells -0.0 from 0.0)."""
+    """Type and shortest repr: equal only if bit-identical (tells -0.0 from 0.0),
+    except that repr prints every NaN as `nan`, whatever its sign."""
     return type(x), repr(x)
 
 
