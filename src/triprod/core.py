@@ -140,6 +140,7 @@ class _Exact:
 
     zero = 0
     one = 1
+    exact = True
     tolerance = None
 
     @staticmethod
@@ -187,6 +188,7 @@ class _Binary64:
 
     zero = 0.0
     one = 1.0
+    exact = False
     tolerance = REL_TOL
 
     @staticmethod
@@ -228,11 +230,13 @@ class _Binary64:
         return worst, dev > max(ABS_TOL, tolerance * scale)
 
 
-# Backend name -> scalar ring (a class used as a namespace).  `tolerance` is
-# the ring's default, None where it takes none.  `scale(s, xs)`
-# multiplies coefficients `xs` by the ring scalar `s`; `compare(lhs, rhs,
-# tolerance, inputs, worst)` decides a trial on coefficient tuples `inputs`:
-# `(worst, failed)`, the largest deviation yet and whether the sides differ.
+# Backend name -> scalar ring (a class used as a namespace).  `exact` says
+# whether its arithmetic is exact, so that texts equal in value compute equal
+# results; `tolerance` is the ring's default, None where it takes none.
+# `scale(s, xs)` multiplies coefficients `xs` by the ring scalar `s`;
+# `compare(lhs, rhs, tolerance, inputs, worst)` decides a trial on
+# coefficient tuples `inputs`: `(worst, failed)`, the largest deviation yet
+# and whether the sides differ.
 BACKENDS = {EXACT: _Exact, BINARY64: _Binary64}
 
 

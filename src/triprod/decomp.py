@@ -25,8 +25,14 @@ The rule: the definitions acomm2, cross2, acomm3, cross3 and assoc3 are
 `HNum` code, which the tests and `dsl.FUNCTIONS` are checked against;
 everything derived from them is `dsl` text in `_FORMS` and runs the function
 `dsl` generates from it, made on first use per dim and backend.  That
-function computes every distinct operation once, in the definitions' order,
-so results equal the definitions' bit for bit (as tested).
+function computes every distinct operation once.  What it computes depends
+on the ring.  Binary64 runs the `_FORMS` texts, in the definitions' order,
+so its results equal the definitions' bit for bit (as tested).  The exact
+ring, on which texts equal in value give equal results, runs the texts in
+`_EXACT_FORMS` for decompose_triple, norm_sq_cross3 and norm_sq_assoc3:
+closed forms, proved by the tests on basis tuples, that take 4, 1 and 1
+products where the definitions take 8, 2 and 2.  Its results equal the
+definitions' in value and type (as tested).
 
 Every function here is pure; inputs must share one dimension and backend.
 """
@@ -37,6 +43,7 @@ from fractions import Fraction
 
 from . import dsl
 from .core import (
+    BACKENDS,
     HNum,
     Record,
     Scalar,
@@ -117,9 +124,10 @@ def assoc3(u1: HNum, u2: HNum, u3: HNum) -> HNum:
     return _half(sub(mul(mul(u1, c2), u3), mul(u1, mul(c2, u3))))
 
 
-def _gram_det(x: str, y: str, z: str) -> str:
-    """DSL text of det3(gram(x, y, z)), in `oracle.det3`'s cofactor order."""
-    xx, xy, xz, yy, yz, zz = (f"inner({p}, {q})" for p, q in
+def _gram_det(x: str, y: str, z: str, entry: str = "inner({}, {})") -> str:
+    """DSL text of det3(gram(x, y, z)), in `oracle.det3`'s cofactor order,
+    with `entry` the text of a Gram entry in terms of its two arguments."""
+    xx, xy, xz, yy, yz, zz = (entry.format(p, q) for p, q in
                               ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z)))
     return (f"{xx}*({yy}*{zz} - {yz}*{yz}) - {xy}*({xy}*{zz} - {yz}*{xz})"
             f" + {xz}*({xy}*{yz} - {yy}*{xz})")
@@ -128,15 +136,18 @@ def _gram_det(x: str, y: str, z: str) -> str:
 _GRAM_DET = _gram_det("u1", "u2", "u3")
 _GRAM_IM_DET = _gram_det("im(u1)", "im(u2)", "im(u3)")
 _MIXED_PRODUCT = "inner(cross(u1, u2), u3)"
-_PARTS = ("acomm3(u1, u2, u3)", "cross3(u1, u2, u3)", "assoc(u1, u2, u3)")
+_PRODUCT = "(u1*conj(u2))*u3"
+_ASSOC = "assoc(u1, u2, u3)"
+_PARTS = ("acomm3(u1, u2, u3)", "cross3(u1, u2, u3)", _ASSOC)
+_ACOMM3_CLOSED = "inner(u1, u2)*u3 - inner(u1, u3)*u2 + inner(u2, u3)*u1"
 
 # Form -> the DSL expressions of its values, over arguments u1, u2, u3 (a
 # pair form gets u2 again as u3, which its text never names).
 _FORMS = {
     "decompose_pair": ("acomm(u1, u2)", "cross(u1, u2)", "u1*u2"),
     "expand_product2": ("re(u1)*u2 + re(u2)*u1 - inner(u1, u2)*i0 + cross(u1, u2)",),
-    "decompose_triple": (*_PARTS, "(u1*conj(u2))*u3"),
-    "acomm3_closed": ("inner(u1, u2)*u3 - inner(u1, u3)*u2 + inner(u2, u3)*u1",),
+    "decompose_triple": (*_PARTS, _PRODUCT),
+    "acomm3_closed": (_ACOMM3_CLOSED,),
     "cross3_closed": ("inner(cross(u1, u2), u3)*i0 - re(u1)*cross(u2, u3)"
                       " + re(u2)*cross(u1, u3) - re(u3)*cross(u1, u2)",),
     "mirror_product": ("u3*(conj(u2)*u1)",),
@@ -146,6 +157,31 @@ _FORMS = {
     "okubo_rhs": (" - ".join(["2*re(u2)*(u1*u3)", *_PARTS]),),
 }
 
+# Texts equal in value to definitions, from fewer products, by four
+# identities that `tests/test_decomp.py` proves on every tuple of basis
+# elements (each is linear in each argument): acomm3 is its closed form;
+# cross3 is the product less acomm3 and assoc3; the mixed product
+# ([u1,u2],u3) takes one product, of the imaginary parts (the commutator
+# [u1,u2] is theirs), and no halving; and an imaginary Gram entry is the
+# Gram entry less the product of the real parts.
+_ACOMM3_EXACT = f"1*({_ACOMM3_CLOSED})"
+_CROSS3_EXACT = f"1*({_PRODUCT} - {_ACOMM3_EXACT} - {_ASSOC})"
+_MIXED_PRODUCT_EXACT = "(inner(im(u1)*im(u2), u3) + inner(im(u1), im(u2))*re(u3))"
+_IM_ENTRY = "(inner({0}, {1}) - re({0})*re({1}))"
+
+# Form -> the texts an exact ring runs in place of its `_FORMS` texts, equal
+# in value and type: each vector ends in the ring's scaling 1*(...), as each
+# definition ends in a halving, so an integral coefficient is an int.
+# norm_sq_assoc3 keeps the definitions' imaginary Gram entries: where only
+# real parts are not integers, those give an int and `_IM_ENTRY` a Fraction,
+# which its result would keep.
+_EXACT_FORMS = {
+    "decompose_triple": (_ACOMM3_EXACT, _CROSS3_EXACT, _ASSOC, _PRODUCT),
+    "norm_sq_cross3": (f"{_MIXED_PRODUCT_EXACT}*{_MIXED_PRODUCT_EXACT} + ({_GRAM_DET})"
+                       f" - ({_gram_det('u1', 'u2', 'u3', _IM_ENTRY)})",),
+    "norm_sq_assoc3": (f"({_GRAM_IM_DET}) - {_MIXED_PRODUCT_EXACT}*{_MIXED_PRODUCT_EXACT}",),
+}
+
 # (form, dim, backend) -> the form's generated function, made on first use.
 # Two threads may both make one; either function gives the same results.
 _FUNCS = {}
@@ -153,13 +189,16 @@ _FUNCS = {}
 
 def _run(form: str, u1: HNum, u2: HNum, u3: HNum) -> tuple:
     """The values of `form` on three operands of one dim and backend, from
-    the function `dsl` generates for them: coefficient tuples or scalars."""
+    the function `dsl` generates for them: coefficient tuples or scalars.
+    An exact ring runs the form's texts in `_EXACT_FORMS`, if it has any,
+    and every other ring its definitions' texts in `_FORMS`."""
     _check_same(u1, u2)
     _check_same(u1, u3)
     key = (form, u1.dim, u1.backend)
     f = _FUNCS.get(key)
     if f is None:
-        exprs = [dsl._body(text) for text in _FORMS[form]]
+        texts = BACKENDS[u1.backend].exact and _EXACT_FORMS.get(form) or _FORMS[form]
+        exprs = [dsl._body(text) for text in texts]
         names = [("u1", "u2", "u3")] * len(exprs)
         f = _FUNCS[key] = dsl._generate(exprs, names, u1.dim, u1.backend)
     return f(u1.coeffs, u2.coeffs, u3.coeffs)
@@ -202,7 +241,8 @@ def cross3_closed(u1: HNum, u2: HNum, u3: HNum) -> HNum:
 
 def decompose_triple(u1: HNum, u2: HNum, u3: HNum) -> TripleDecomposition:
     """Split (u1*conj(u2))*u3 into its three mutually orthogonal parts,
-    acomm3, cross3 and assoc3, from their 8 distinct products."""
+    acomm3, cross3 and assoc3, from their 8 distinct products (binary64), or
+    from acomm3's closed form, assoc3 and the product, 4 products (exact)."""
     dim, backend = u1.dim, u1.backend
     return TripleDecomposition(*[_hnum(dim, t, backend)
                                  for t in _run("decompose_triple", u1, u2, u3)])

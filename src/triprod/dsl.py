@@ -458,7 +458,10 @@ class _Gen:
     of its coefficients once they are known.  Each operation is one statement,
     value-numbered by its source text: an operation already written on the
     same values is not written again, so whatever the two sides share is
-    computed once.  Products call the dimension's kernel and scalings the
+    computed once.  A tuple of names, maybe negated (what `conj`, `im` and a
+    vector's negation make), is written by `whole` only where it is read
+    whole, by a product, a scaling or as a result, so no statement is left
+    unread.  Products call the dimension's kernel and scalings the
     ring's `scale`; other vector operations and inner products are unrolled
     into the same scalar operations, in the same order, as in `core`, so the
     results are those of `core` bit for bit.  The source names only `v<i>`
@@ -476,11 +479,13 @@ class _Gen:
         self.parts = dict.fromkeys(f"v{i}" for i in range(params))
         self.memo = {}
         self.lines = []
+        self.names = itertools.count()
+        self.unwritten = {}  # vector of names -> its tuple's source
 
     def let(self, src: str, vector: bool = False) -> str:
         name = self.memo.get(src)
         if name is None:
-            name = self.memo[src] = f"t{len(self.lines)}"
+            name = self.memo[src] = f"t{next(self.names)}"
             self.lines.append(f"    {name} = {src}\n")
             if vector:
                 self.parts[name] = None
@@ -495,10 +500,23 @@ class _Gen:
         return name
 
     def vec(self, elems: list) -> str:
-        name = self.let(f"({', '.join(elems)},)", vector=True)
-        if not any(" " in x for x in elems):  # names, maybe negated: no need to unpack
+        src = f"({', '.join(elems)},)"
+        if any(" " in x for x in elems):
+            return self.let(src, vector=True)
+        # Names, maybe negated: no need to unpack, nor to write until read whole.
+        name = self.memo.get(src)
+        if name is None:
+            name = self.memo[src] = f"t{next(self.names)}"
             self.parts[name] = elems
+            self.unwritten[name] = src
         return name
+
+    def whole(self, v: str) -> str:
+        """`v`, read as a tuple: a vector of names is written first."""
+        src = self.unwritten.pop(v, None)
+        if src is not None:
+            self.lines.append(f"    {v} = {src}\n")
+        return v
 
     def elems(self, v: str) -> list:
         if self.parts[v] is None:
@@ -518,9 +536,9 @@ class _Gen:
 
     def mul(self, a: str, b: str) -> str:
         if a in self.parts:
-            return self.let(f"_mul({a}, {b})", vector=True)
+            return self.let(f"_mul({self.whole(a)}, {self.whole(b)})", vector=True)
         if b in self.parts:
-            return self.let(f"_scale({a}, {b})", vector=True)
+            return self.let(f"_scale({a}, {self.whole(b)})", vector=True)
         return self.let(f"{a} * {b}")
 
     def value(self, expr: Expr) -> str:
@@ -597,20 +615,25 @@ FUNCTIONS = {
 }
 
 
-def _generate(exprs, names, dim: int, backend: str):
-    """`f(v0, v1, ...)`: the tuple of the values of `exprs`, each a coefficient
-    tuple or a scalar, when `vi` is the coefficient tuple of `names[k][i]` in
-    `exprs[k]`.  Expressions that bind the same tuples share their operations."""
+def _source(exprs, names, dim: int, backend: str) -> tuple:
+    """The source of `_generate`'s function, and the namespace it runs in."""
     count = max(map(len, names), default=0)
     gen = _Gen(dim, backend, count)
     outs = []
     for expr, expr_names in zip(exprs, names):
         gen.vars = {name: f"v{i}" for i, name in enumerate(expr_names)}
-        outs.append(gen.value(expr))
+        outs.append(gen.whole(gen.value(expr)))
     params = ", ".join(f"v{i}" for i in range(count))
-    src = f"def f({params}):\n{''.join(gen.lines)}    return ({', '.join(outs)},)\n"
-    exec(compile(src, "<triprod identity>", "exec"), gen.ns)
-    return gen.ns["f"]
+    return f"def f({params}):\n{''.join(gen.lines)}    return ({', '.join(outs)},)\n", gen.ns
+
+
+def _generate(exprs, names, dim: int, backend: str):
+    """`f(v0, v1, ...)`: the tuple of the values of `exprs`, each a coefficient
+    tuple or a scalar, when `vi` is the coefficient tuple of `names[k][i]` in
+    `exprs[k]`.  Expressions that bind the same tuples share their operations."""
+    src, ns = _source(exprs, names, dim, backend)
+    exec(compile(src, "<triprod identity>", "exec"), ns)
+    return ns["f"]
 
 
 def evaluate(expr: Expr, env: dict, dim: int, backend: str = EXACT):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,9 @@ from triprod import (
     add,
     assoc3,
     basis,
+    builtin_lines,
+    check_identities,
+    check_identity_basis,
     conj,
     cross2,
     cross3,
@@ -423,21 +427,29 @@ def _assert_matches_definitions(u1, u2, u3):
 def _random_triples(kind, dim):
     rng = random.Random(f"{kind}-{dim}")
 
-    def coeff():
+    def coeff(i, real_only):
         if kind == "int":
             return rng.randint(-10**6, 10**6)
         if kind == "fraction":
             return Fraction(rng.randint(-99, 99), rng.randint(1, 60))
+        if kind == "mixed":
+            # An int, or an int plus a proper fraction; in odd triples only
+            # real parts may be Fractions.  An integral result's type, int
+            # or Fraction, shows which terms were summed to make it.
+            if (i == 0 or not real_only) and rng.random() < 0.5:
+                d = rng.randint(2, 60)
+                return rng.randint(-9, 9) + Fraction(rng.randint(1, d - 1), d)
+            return rng.randint(-9, 9)
         # Uniform mantissas round at almost every operation, so a reordered
         # sum or product shows; the exponents keep degree-6 terms finite.
         return rng.uniform(-1, 1) * 10.0 ** rng.randint(-40, 40)
 
     backend = BINARY64 if kind == "float" else EXACT
-    for _ in range(60):
-        yield tuple(hnum([coeff() for _ in range(dim)], backend) for _ in range(3))
+    for n in range(60):
+        yield tuple(hnum([coeff(i, n % 2) for i in range(dim)], backend) for _ in range(3))
 
 
-@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed", "float"])
 @pytest.mark.parametrize("dim", DIMS)
 def test_fast_paths_equal_the_definitions(kind, dim):
     for us in _random_triples(kind, dim):
@@ -459,6 +471,9 @@ def test_fast_paths_keep_signed_zeros():
 
 
 PAIR_FORMS = (decompose_pair, expand_product2)
+# Kernel calls on binary64, which runs the definitions' texts, where the
+# exact ring runs texts with fewer products.
+BINARY64_PRODUCTS = {decompose_triple: 8, norm_sq_cross3: 2, norm_sq_assoc3: 2}
 
 
 @pytest.mark.parametrize("fn,products", [
@@ -467,11 +482,11 @@ PAIR_FORMS = (decompose_pair, expand_product2)
     (acomm3_closed, 0),
     (cross3_closed, 6),
     (mirror_product, 2),
-    (decompose_triple, 8),   # 14 through acomm3, cross3 and assoc3
+    (decompose_triple, 4),   # 14 through acomm3, cross3 and assoc3
     (okubo_rhs, 9),          # 13 through acomm3, cross3 and assoc3
     (norm_sq_acomm3, 0),
-    (norm_sq_cross3, 2),
-    (norm_sq_assoc3, 2),
+    (norm_sq_cross3, 1),
+    (norm_sq_assoc3, 1),
 ])
 def test_triple_products_are_computed_once(monkeypatch, fn, products):
     calls = []
@@ -484,9 +499,58 @@ def test_triple_products_are_computed_once(monkeypatch, fn, products):
     monkeypatch.setitem(core._KERNELS, 8, counted)
     # A function generated before the patch calls the unpatched kernel.
     monkeypatch.setattr(decomp, "_FUNCS", {})
-    us = rand_tuple(random.Random(20), 3, 8)
-    fn(*(us[:2] if fn in PAIR_FORMS else us))
-    assert len(calls) == products
+    for backend, count in ((EXACT, products), (BINARY64, BINARY64_PRODUCTS.get(fn, products))):
+        calls.clear()
+        us = rand_tuple(random.Random(20), 3, 8, backend)
+        fn(*(us[:2] if fn in PAIR_FORMS else us))
+        assert len(calls) == count, backend
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_exact_texts_rest_on_proved_identities(dim):
+    # Each side is linear in each variable, so agreement on every tuple of
+    # basis elements is a proof of the identity.
+    assert decomp._EXACT_FORMS["decompose_triple"][2:] == decomp._FORMS["decompose_triple"][2:]
+    lines = [
+        f"acomm3(u1, u2, u3) == {decomp._ACOMM3_EXACT}",
+        f"cross3(u1, u2, u3) == {decomp._CROSS3_EXACT}",
+        f"{decomp._MIXED_PRODUCT} == {decomp._MIXED_PRODUCT_EXACT}",
+        f"inner(im(u1), im(u2)) == {decomp._IM_ENTRY.format('u1', 'u2')}",
+    ]
+    for line in lines:
+        assert check_identity_basis(line, dim=dim).status == "PASS", line
+    # A control the basis check refutes: the mixed product from the whole
+    # product u1*u2, not from that of the imaginary parts.  At dim 1 both
+    # sides are 0.
+    control = "inner(cross(u1, u2), u3) == inner(u1*u2, u3) - re(u1)*inner(u2, u3)"
+    assert check_identity_basis(control, dim=dim).status == ("PASS" if dim == 1 else "FAIL")
+
+
+def test_generated_functions_leave_no_statement_unread(monkeypatch):
+    made = []
+    generate = dsl._generate
+
+    def recorded(*args):
+        made.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(dsl, "_generate", recorded)
+    monkeypatch.setattr(decomp, "_FUNCS", {})
+    for dim, backend in itertools.product(DIMS, (EXACT, BINARY64)):
+        tolerance = core.BACKENDS[backend].tolerance
+        assert all(r.status == "PASS" for r in check_identities(
+            builtin_lines(dim), dim=dim, backend=backend, trials=1, tolerance=tolerance))
+        us = rand_tuple(random.Random(24), 3, dim, backend)
+        for form in decomp._FORMS:
+            decomp._run(form, *us)
+    unread = []
+    for args in made:
+        lines = dsl._source(*args)[0].splitlines()
+        for n, line in enumerate(lines):
+            target = re.match(r" +(t\d+) = ", line)
+            if target and not any(re.search(rf"\b{target[1]}\b", later) for later in lines[n + 1:]):
+                unread.append((*args[2:], line))
+    assert unread == []
 
 
 def test_fast_paths_generate_once_per_dim_and_backend(monkeypatch):

@@ -757,10 +757,8 @@ def test_function_definitions_are_parsed_once(monkeypatch):
 def test_generated_source_negates_a_negated_part_once(text):
     # -(-x) is x bit for bit, so it is written x, never --x.
     identity = parse(text)
-    gen = dsl._Gen(8, EXACT, 1)
-    gen.vars = {"u1": "v0"}
-    outs = [gen.value(identity.lhs), gen.value(identity.rhs)]
-    assert "--" not in "".join(gen.lines + outs)
+    src, _ = dsl._source([identity.lhs, identity.rhs], [identity.free_vars] * 2, 8, EXACT)
+    assert "--" not in src
     assert check_identity(text, trials=20).status == "PASS"
 
 
