@@ -43,7 +43,7 @@ from .core import (
     norm_sq,
     scalar_str,
 )
-from .dsl import FAIL, PARSE_ERROR, PASS, check_identities, report_json_obj, report_text
+from .dsl import FAIL, PARSE_ERROR, check_identities, report_json_obj, report_text
 from .oracle import build_table, format_table
 from .suite import builtin_lines, numbered_lines
 
@@ -53,9 +53,25 @@ def _error(message, code: int = 3) -> int:
     return code
 
 
-def _check_lines(lines, args, numbered: bool = False) -> set:
-    """Check `(lineno, line)` pairs in order, printing each report; returns
-    the statuses seen."""
+def _run_checks(args) -> int:
+    """`suite` or `check FILE`: options first, then the file, then each
+    line's report, with a `line N: ` prefix for a file's lines in text."""
+    try:
+        check_options(args.backend, args.tolerance, args.trials, args.coeff_range, args.seed,
+                      args.dim)
+    except ValueError as err:
+        return _error(err)
+    if args.command == "suite":
+        lines = [(None, line) for line in builtin_lines(args.dim)]
+    else:
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as err:
+            return _error(err, 2)
+        except UnicodeDecodeError as err:
+            return _error(f"{args.file}: not UTF-8 text (byte {err.start})")
+        lines = numbered_lines(text)
     reports = check_identities([line for _, line in lines], args.dim, args.backend,
                                args.trials, args.seed, args.coeff_range, args.tolerance)
     seen = set()
@@ -63,32 +79,9 @@ def _check_lines(lines, args, numbered: bool = False) -> set:
         if args.fmt == "json":
             sys.stdout.write(json.dumps(report_json_obj(report)) + "\n")
         else:
-            prefix = f"line {lineno}: " if numbered else ""
+            prefix = "" if lineno is None else f"line {lineno}: "
             sys.stdout.write(prefix + report_text(report) + "\n")
         seen.add(report.status)
-    return seen
-
-
-def _run_checks(args) -> int:
-    """`suite` or `check FILE`: options first, then the file, then the lines."""
-    if args.tolerance is None:
-        args.tolerance = BACKENDS[args.backend].tolerance  # the ring's default
-    try:
-        check_options(args.backend, args.tolerance, args.trials, args.coeff_range, args.seed,
-                      args.dim)
-    except ValueError as err:
-        return _error(err)
-    if args.command == "suite":
-        seen = _check_lines(list(enumerate(builtin_lines(args.dim), 1)), args)
-        return 0 if seen <= {PASS} else 1
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        return _error(err, 2)
-    except UnicodeDecodeError as err:
-        return _error(f"{args.file}: not UTF-8 text (byte {err.start})")
-    seen = _check_lines(numbered_lines(text), args, numbered=True)
     return 3 if PARSE_ERROR in seen else 1 if FAIL in seen else 0
 
 

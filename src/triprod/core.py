@@ -27,13 +27,13 @@ both.
 Two scalar backends are supported, each a scalar ring in the `BACKENDS`
 table, which holds all that depends on the backend, down to a ring's
 default `tolerance` and its `compare`, which decides whether the two sides
-of a trial differ.  The "exact" ring keeps coefficients as rationals (int or
-Fraction), compared with exact equality, and takes no tolerance.  The
-"binary64" ring keeps float coefficients, compared within a tolerance
-(`REL_TOL` by default), never with `==`; a deviation that is not finite,
-from an overflow, always differs.  `allclose` and `scalar_close` apply the
-binary64 ring's `compare`, so a non-finite deviation is never close there
-either.  The exact ring's `scale`, which `scale` and the DSL's generated
+of a trial differ.  A ring's tolerance alone says how it compares.  The
+"exact" ring's is None: it keeps coefficients as rationals (int or
+Fraction), compared with exact equality.  The "binary64" ring keeps float
+coefficients, compared within a tolerance (`REL_TOL` by default), never with
+`==`; a deviation that is not finite, from an overflow, always differs.
+`allclose` and `scalar_close` apply the binary64 ring's `compare`, so a
+non-finite deviation is never close there either.  The exact ring's `scale`, which `scale` and the DSL's generated
 functions call, keeps integer coefficients as ints wherever the product by a
 rational is integral, so halving an even sum builds no Fraction.
 
@@ -94,10 +94,14 @@ class DigitsError(ValueError):
     int() converts."""
 
 
-def brief(text: str, width: int = 40) -> str:
+# The most characters of an input that a message quotes.
+_BRIEF = 40
+
+
+def brief(text: str) -> str:
     """repr(text) for a one-line message: its start alone, and its length, if
-    it is longer than `width`."""
-    return repr(text) if len(text) <= width else f"{text[:width]!r}... ({len(text)} characters)"
+    it is longer than `_BRIEF`."""
+    return repr(text) if len(text) <= _BRIEF else f"{text[:_BRIEF]!r}... ({len(text)} characters)"
 
 
 def _rational(text: str, exact: bool) -> Fraction:
@@ -140,7 +144,6 @@ class _Exact:
 
     zero = 0
     one = 1
-    exact = True
     tolerance = None
 
     @staticmethod
@@ -188,7 +191,6 @@ class _Binary64:
 
     zero = 0.0
     one = 1.0
-    exact = False
     tolerance = REL_TOL
 
     @staticmethod
@@ -230,9 +232,9 @@ class _Binary64:
         return worst, dev > max(ABS_TOL, tolerance * scale)
 
 
-# Backend name -> scalar ring (a class used as a namespace).  `exact` says
-# whether its arithmetic is exact, so that texts equal in value compute equal
-# results; `tolerance` is the ring's default, None where it takes none.
+# Backend name -> scalar ring (a class used as a namespace).  `tolerance` is
+# the ring's default, None where it takes none: such a ring's arithmetic is
+# exact, so texts equal in value compute equal results.
 # `scale(s, xs)` multiplies coefficients `xs` by the ring scalar `s`;
 # `compare(lhs, rhs, tolerance, inputs, worst)` decides a trial on
 # coefficient tuples `inputs`: `(worst, failed)`, the largest deviation yet
@@ -255,15 +257,17 @@ def check_dim(dim) -> None:
 
 
 def check_options(backend: str, tolerance, trials: int = 1, coeff_range: int = 1, seed=0,
-                  dim: int = 8) -> None:
+                  dim: int = 8) -> float | None:
     """The rule every check's options follow, ValueError where they break it,
     for the first of them in this order: `dim` follows `check_dim`, `trials`
     and `coeff_range` are ints of at least 1 (a range of 0 samples only
     zeros, which pass false identities), an int `seed` is at least 0 (as
     `random.Random` seeds with |seed|, -1 would name the samples of 1),
     `backend` names a ring, samples up to `coeff_range` must be its scalars,
-    and a backend that compares within a tolerance needs a positive, finite
-    one.  The defaults are those of a dim-8 check that draws no samples, as
+    and a `tolerance` other than None is taken only by a ring that has one
+    and must be positive and finite.  Returns the tolerance the check
+    compares with: `tolerance`, or the ring's default where it is None.  The
+    defaults are those of a dim-8 check that draws no samples, as
     `check_identity_basis`."""
     check_dim(dim)
     for name, count in (("trials", trials), ("coeff_range", coeff_range)):
@@ -276,13 +280,13 @@ def check_options(backend: str, tolerance, trials: int = 1, coeff_range: int = 1
         ring.coerce(coeff_range)
     except OverflowError:
         raise ValueError(f"coefficient range is too large for the {backend} backend") from None
+    if tolerance is None:
+        return ring.tolerance
     if ring.tolerance is None:
-        if tolerance is not None:
-            raise ValueError(f"a tolerance applies only to {BINARY64}, not to {backend}")
-    elif tolerance is None:
-        raise ValueError(f"{backend} checks require a tolerance")
-    elif not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"a tolerance applies only to {BINARY64}, not to {backend}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
+    return tolerance
 
 
 def coerce_scalar(value, backend: str) -> Scalar:
@@ -478,12 +482,12 @@ def _check_same(a: HNum, b: HNum):
 
 def add(a: HNum, b: HNum) -> HNum:
     _check_same(a, b)
-    return _hnum(a.dim, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), a.backend)
+    return _hnum(a.dim, _t_add(a.coeffs, b.coeffs), a.backend)
 
 
 def sub(a: HNum, b: HNum) -> HNum:
     _check_same(a, b)
-    return _hnum(a.dim, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)), a.backend)
+    return _hnum(a.dim, _t_sub(a.coeffs, b.coeffs), a.backend)
 
 
 def negate(u: HNum) -> HNum:

@@ -27,8 +27,9 @@ everything derived from them is `dsl` text in `_FORMS` and runs the function
 `dsl` generates from it, made on first use per dim and backend.  That
 function computes every distinct operation once.  What it computes depends
 on the ring.  Binary64 runs the `_FORMS` texts, in the definitions' order,
-so its results equal the definitions' bit for bit (as tested).  The exact
-ring, on which texts equal in value give equal results, runs the texts in
+so its results equal the definitions' bit for bit (as tested).  A ring
+without a tolerance compares exactly, so texts equal in value give equal
+results on it, and the exact ring, the one such ring, runs the texts in
 `_EXACT_FORMS` for decompose_triple, norm_sq_cross3 and norm_sq_assoc3:
 closed forms, proved by the tests on basis tuples, that take 4, 1 and 1
 products where the definitions take 8, 2 and 2.  Its results equal the
@@ -190,14 +191,14 @@ _FUNCS = {}
 def _run(form: str, u1: HNum, u2: HNum, u3: HNum) -> tuple:
     """The values of `form` on three operands of one dim and backend, from
     the function `dsl` generates for them: coefficient tuples or scalars.
-    An exact ring runs the form's texts in `_EXACT_FORMS`, if it has any,
-    and every other ring its definitions' texts in `_FORMS`."""
+    A ring without a tolerance runs the form's texts in `_EXACT_FORMS`, if
+    it has any, and every other ring its definitions' texts in `_FORMS`."""
     _check_same(u1, u2)
     _check_same(u1, u3)
     key = (form, u1.dim, u1.backend)
     f = _FUNCS.get(key)
     if f is None:
-        texts = BACKENDS[u1.backend].exact and _EXACT_FORMS.get(form) or _FORMS[form]
+        texts = BACKENDS[u1.backend].tolerance is None and _EXACT_FORMS.get(form) or _FORMS[form]
         exprs = [dsl._body(text) for text in texts]
         names = [("u1", "u2", "u3")] * len(exprs)
         f = _FUNCS[key] = dsl._generate(exprs, names, u1.dim, u1.backend)

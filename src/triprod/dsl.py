@@ -63,6 +63,7 @@ from fractions import Fraction
 from .core import (
     _KERNELS,
     BACKENDS,
+    DIMS,
     EXACT,
     HNum,
     Record,
@@ -94,6 +95,10 @@ MAX_DEGREE = 64
 # Identities parsed and grouped at a time, so also the most checked by one
 # generated function: what a check holds at once grows with it.
 GROUP_SIZE = 64
+
+# The highest index a basis name may give, that of the widest algebra's last
+# element; a check refuses one beyond its own dimension.
+_TOP_BASIS = max(DIMS) - 1
 
 
 class ParseError(ValueError):
@@ -337,10 +342,10 @@ class _Parser:
         if name == "i0":
             return Unit(col)
         if name[0] == "e" and name[1:].isdigit():
-            # Compared as text: int() refuses names of thousands of digits.
+            # The length first: int() refuses names of thousands of digits.
             index = name[1:].lstrip("0") or "0"
-            if len(index) > 1 or index > "7":
-                raise ParseError(f"no basis element {name} (e0..e7)", col)
+            if len(index) > len(str(_TOP_BASIS)) or int(index) > _TOP_BASIS:
+                raise ParseError(f"no basis element {name} (e0..e{_TOP_BASIS})", col)
             return Basis(int(index), col)
         return Var(name, col)
 
@@ -793,7 +798,7 @@ def check_identities(identities, dim: int = 8, backend: str = EXACT, trials: int
     in bursts: a group's all at once, when its first is due.  ValueError at
     once where `check_identity` refuses the options, whatever the identities.
     """
-    check_options(backend, tolerance, trials, coeff_range, seed, dim)
+    tolerance = check_options(backend, tolerance, trials, coeff_range, seed, dim)
 
     def samples(count):
         from_ints = BACKENDS[backend].from_ints
@@ -815,11 +820,13 @@ def check_identity(identity, dim: int = 8, backend: str = EXACT, trials: int = 1
     Deterministic: identical (identity, dim, backend, trials, seed,
     coeff_range) inputs produce identical reports.  `identity` may be an
     Identity or a source string; parse failures yield a PARSE_ERROR report
-    rather than raising.  ValueError where `core.check_options` refuses the
-    options, naming the first bad one in its order: a dimension outside DIMS,
-    a `trials` or `coeff_range` that is not an int of at least 1, a negative
-    `seed`, an unknown backend, a range beyond what the backend's scalars
-    hold, a tolerance the backend does not take.
+    rather than raising.  A `tolerance` of None is the ring's default:
+    `REL_TOL` on binary64, none on exact.  ValueError where
+    `core.check_options` refuses the options, naming the first bad one in its
+    order: a dimension outside DIMS, a `trials` or `coeff_range` that is not
+    an int of at least 1, a negative `seed`, an unknown backend, a range
+    beyond what the backend's scalars hold, a tolerance on a backend that
+    takes none or one that is not positive and finite.
     """
     return next(check_identities((identity,), dim, backend, trials, seed, coeff_range,
                                  tolerance))
@@ -831,11 +838,12 @@ def check_identity_basis(identity, dim: int = 8, backend: str = EXACT,
     e0..e(dim-1) to every free variable, dim**nvars trials in total.
 
     For low-degree polynomial identities this complements the randomized
-    check; it draws nothing, and its report's seed is 0.  ValueError at once
+    check; it draws nothing, and its report's seed is 0.  A `tolerance` of
+    None is the ring's default, as in `check_identity`.  ValueError at once
     where `core.check_options` refuses the dimension, backend or tolerance,
     in its order.
     """
-    check_options(backend, tolerance, dim=dim)
+    tolerance = check_options(backend, tolerance, dim=dim)
 
     def samples(count):
         bases = [basis(dim, k, backend).coeffs for k in range(dim)]

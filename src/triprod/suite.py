@@ -23,11 +23,6 @@ def numbered_lines(text: str) -> list[tuple[int, str]]:
     return lines
 
 
-def strip_lines(text: str) -> list[str]:
-    """The identity lines of file text, without their line numbers."""
-    return [line for _, line in numbered_lines(text)]
-
-
 def builtin_lines(dim: int = 8) -> list[str]:
     """All built-in identities, plus the associative extras when dim <= 4."""
     # The module's own loader, as pkgutil.get_data does, without importing
@@ -35,7 +30,7 @@ def builtin_lines(dim: int = 8) -> list[str]:
     # `inspect` from Python 3.12 on).
     path = os.path.join(os.path.dirname(__file__), "data", "suite.txt")
     text = __loader__.get_data(path).decode("utf-8")
-    lines = strip_lines(text)
+    lines = [line for _, line in numbered_lines(text)]
     if dim <= 4:
         lines.extend(ASSOCIATIVE_EXTRAS)
     return lines

@@ -491,6 +491,15 @@ def test_backend_switches_live_only_in_core():
     assert found == []
 
 
+def test_rings_define_the_same_members():
+    # A ring's interface is its public members; its tolerance alone says how
+    # it compares, so no member restates it.
+    members = [{name for name in vars(ring) if not name.startswith("_")}
+               for ring in BACKENDS.values()]
+    assert all(m == members[0] for m in members)
+    assert "exact" not in members[0]
+
+
 def test_generator_trusts_its_tree():
     # Every rule a tree must pass runs before `dsl._Gen` writes its code, so
     # the generator raises nothing, and takes basis tuples from `core.basis`.

@@ -15,6 +15,7 @@ from triprod import (
     BINARY64,
     DIMS,
     EXACT,
+    REL_TOL,
     HNum,
     ParseError,
     acomm2,
@@ -516,13 +517,26 @@ def test_check_is_deterministic():
     assert c.status == "PASS"
 
 
-def test_check_binary64_requires_tolerance():
-    with pytest.raises(ValueError, match="tolerance"):
-        check_identity(DECOMPOSITION_LINE, dim=8, backend=BINARY64, trials=10)
+def test_check_refuses_a_bad_tolerance():
     with pytest.raises(ValueError, match="exact"):
         check_identity(DECOMPOSITION_LINE, dim=8, backend=EXACT, trials=10, tolerance=1e-9)
     with pytest.raises(ValueError, match="positive and finite"):
         check_identity(DECOMPOSITION_LINE, dim=8, backend=BINARY64, trials=10, tolerance=0)
+
+
+def test_binary64_checks_default_to_rel_tol():
+    # A tolerance of None is the ring's default, on every kind of check.
+    def reports(tolerance):
+        suite = check_identities(builtin_lines(8), 8, BINARY64, trials=20, tolerance=tolerance)
+        return [report_json_obj(report) for report in (
+            check_identity(DECOMPOSITION_LINE, backend=BINARY64, trials=20, tolerance=tolerance),
+            *suite,
+            check_identity_basis(DECOMPOSITION_LINE, backend=BINARY64, tolerance=tolerance),
+        )]
+
+    assert reports(None) == reports(REL_TOL)
+    assert core.check_options(BINARY64, None) == REL_TOL
+    assert core.check_options(EXACT, None) is None
 
 
 def test_check_binary64_reports_deviation():
@@ -904,7 +918,6 @@ def test_check_identities_refuses_bad_counts_at_once():
             (check_identities, dict(seed=-1), r"^seed must be >= 0, got -1$"),
             (check_identity, dict(seed=-1), r"^seed must be >= 0, got -1$"),
             (check_identities, dict(tolerance=1e-9), "tolerance applies only"),
-            (check_identities, dict(backend=BINARY64), "require a tolerance"),
             (check_identity, dict(tolerance=1e-9), "tolerance applies only"),
             (check_identity_basis, dict(tolerance=1e-9), "tolerance applies only"),
             (check_identity_basis, dict(backend="nope"), "unknown backend"),
