@@ -22,7 +22,11 @@ negations folded into the sums that take them (`x - y` for `x + (-y)`; see
 `_t_mul`, bit for bit, signed zeros included, except the sign of a NaN.
 `oracle` derives the product a second way, from basis indices, and shares no
 code with this path on purpose; their agreement is the differential test of
-both.
+both.  Vector sums, differences and each ring's scalings run straight-line
+kernels too, one per dimension, made on first use (`_Kernels`): one
+expression per coefficient, no loop, the same operation per coefficient as
+`_t_add`, `_t_sub` and the ring's scaling rule.  `add`, `sub`, `scale` and
+the DSL's generated functions call these kernels.
 
 Two scalar backends are supported, each a scalar ring in the `BACKENDS`
 table, which holds all that depends on the backend, down to a ring's
@@ -33,9 +37,9 @@ Fraction), compared with exact equality.  The "binary64" ring keeps float
 coefficients, compared within a tolerance (`REL_TOL` by default), never with
 `==`; a deviation that is not finite, from an overflow, always differs.
 `allclose` and `scalar_close` apply the binary64 ring's `compare`, so a
-non-finite deviation is never close there either.  The exact ring's `scale`, which `scale` and the DSL's generated
-functions call, keeps integer coefficients as ints wherever the product by a
-rational is integral, so halving an even sum builds no Fraction.
+non-finite deviation is never close there either.  The exact ring's scaling
+keeps integer coefficients as ints wherever the product by a rational is
+integral, so halving an even sum builds no Fraction.
 
 Values are immutable and every operation is a pure function.  `HNum(dim,
 coeffs, backend)` validates its arguments; the results that `add`, `sub`,
@@ -139,6 +143,37 @@ def _rational(text: str, exact: bool) -> Fraction:
     return bound if mantissa > 0 else -bound
 
 
+def _compile(src: str, name: str):
+    """The kernel `name` that `src` defines."""
+    namespace = {"Fraction": Fraction, "_canon": _canon}
+    exec(compile(src, f"<triprod kernel {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+class _Kernels(dict):
+    """Dimension -> the straight-line kernel `name` for it, made on first use.
+
+    The kernel is `def <name><dim>(<params>):` with the lines `body(each)`
+    returns, where `each(template)` is the tuple display of `template` with
+    `{i}` put as each coefficient index in turn: no loop, one expression per
+    coefficient.  Two threads may both make one; either gives the same
+    results.
+    """
+
+    def __init__(self, name: str, params: str, body):
+        super().__init__()
+        self.name, self.params, self.body = name, params, body
+
+    def __missing__(self, dim: int):
+        def each(template: str) -> str:
+            return f"({''.join(template.format(i=i) + ', ' for i in range(dim))})"
+
+        name = f"{self.name}{dim}"
+        src = f"def {name}({self.params}):\n{self.body(each)}"
+        kernel = self[dim] = _compile(src, name)
+        return kernel
+
+
 class _Exact:
     """Rationals, int or Fraction: two sides are equal or they differ."""
 
@@ -157,20 +192,22 @@ class _Exact:
 
     from_ints = tuple
 
-    @staticmethod
-    def scale(s, xs) -> tuple:
-        # n/d times rationals, as the halvings in `decomp` and the suite's
-        # 1/2*(...) are: p = n*x over d is an int wherever d divides p, for an
-        # int or a Fraction p, and a Fraction in lowest terms elsewhere, so
-        # integral products never become Fractions.  An integral Fraction `s`
-        # (a product of scalars can be one) acts as the int `coerce` makes.
-        if type(s) is Fraction:
-            n, d = s.numerator, s.denominator
-            if d != 1:
-                return tuple([p // d if not p % d else Fraction(p, d)
-                              for p in (xs if n == 1 else [n * x for x in xs])])
-            s = n
-        return tuple([p if type(p := s * x) is int else _canon(p) for x in xs])
+    # n/d times rationals, as the halvings in `decomp` and the suite's
+    # 1/2*(...) are: p = n*x over d is an int wherever d divides p, for an int
+    # or a Fraction p, and a Fraction in lowest terms elsewhere, so integral
+    # products never become Fractions.  An integral Fraction `s` (a product
+    # of scalars can be one) acts as the int `coerce` makes.
+    scale = _Kernels("_scale", "s, a", lambda each: (
+        f"    {each('a{i}')} = a\n"
+        "    if type(s) is Fraction:\n"
+        "        n, d = s.numerator, s.denominator\n"
+        "        if d != 1:\n"
+        "            if n != 1:\n"
+        f"                {each('a{i}')} = {each('n * a{i}')}\n"
+        f"            return {each('a{i} // d if not a{i} % d else Fraction(a{i}, d)')}\n"
+        "        s = n\n"
+        f"    return {each('p if type(p := s * a{i}) is int else _canon(p)')}\n"
+    ))
 
     @staticmethod
     def finite(x) -> bool:
@@ -203,9 +240,10 @@ class _Binary64:
     def from_ints(ints) -> tuple:
         return tuple(map(float, ints))
 
-    @staticmethod
-    def scale(s, xs) -> tuple:
-        return tuple([s * x for x in xs])
+    scale = _Kernels("_scale", "s, a", lambda each: (
+        f"    {each('a{i}')} = a\n"
+        f"    return {each('s * a{i}')}\n"
+    ))
 
     finite = math.isfinite
 
@@ -235,7 +273,8 @@ class _Binary64:
 # Backend name -> scalar ring (a class used as a namespace).  `tolerance` is
 # the ring's default, None where it takes none: such a ring's arithmetic is
 # exact, so texts equal in value compute equal results.
-# `scale(s, xs)` multiplies coefficients `xs` by the ring scalar `s`;
+# `scale[dim](s, xs)` multiplies `dim` coefficients `xs` by the ring scalar
+# `s`, with the dimension's kernel;
 # `compare(lhs, rhs, tolerance, inputs, worst)` decides a trial on
 # coefficient tuples `inputs`: `(worst, failed)`, the largest deviation yet
 # and whether the sides differ.
@@ -482,12 +521,12 @@ def _check_same(a: HNum, b: HNum):
 
 def add(a: HNum, b: HNum) -> HNum:
     _check_same(a, b)
-    return _hnum(a.dim, _t_add(a.coeffs, b.coeffs), a.backend)
+    return _hnum(a.dim, _ADD[a.dim](a.coeffs, b.coeffs), a.backend)
 
 
 def sub(a: HNum, b: HNum) -> HNum:
     _check_same(a, b)
-    return _hnum(a.dim, _t_sub(a.coeffs, b.coeffs), a.backend)
+    return _hnum(a.dim, _SUB[a.dim](a.coeffs, b.coeffs), a.backend)
 
 
 def negate(u: HNum) -> HNum:
@@ -496,7 +535,7 @@ def negate(u: HNum) -> HNum:
 
 def scale(s, u: HNum) -> HNum:
     ring = BACKENDS[u.backend]
-    return _hnum(u.dim, ring.scale(ring.coerce(s), u.coeffs), u.backend)
+    return _hnum(u.dim, ring.scale[u.dim](ring.coerce(s), u.coeffs), u.backend)
 
 
 def _t_conj(t):
@@ -597,13 +636,24 @@ def _generate_kernel(dim: int):
         f"    {', '.join(b)}, = b\n"
         f"    return ({', '.join(c.src if c.sign > 0 else f'(-{c.src})' for c in out)},)\n"
     )
-    namespace = {}
-    exec(compile(src, f"<triprod kernel dim {dim}>", "exec"), namespace)
-    return namespace[f"_mul{dim}"]
+    return _compile(src, f"_mul{dim}")
 
 
 # One straight-line product per dimension, generated once at import.
 _KERNELS = {dim: _generate_kernel(dim) for dim in DIMS}
+
+# Vector sums and differences, per dimension: `x + y` and `x - y` per
+# coefficient, as `_t_add` and `_t_sub`.
+_ADD = _Kernels("_add", "a, b", lambda each: (
+    f"    {each('a{i}')} = a\n"
+    f"    {each('b{i}')} = b\n"
+    f"    return {each('a{i} + b{i}')}\n"
+))
+_SUB = _Kernels("_sub", "a, b", lambda each: (
+    f"    {each('a{i}')} = a\n"
+    f"    {each('b{i}')} = b\n"
+    f"    return {each('a{i} - b{i}')}\n"
+))
 
 
 def mul(a: HNum, b: HNum) -> HNum:

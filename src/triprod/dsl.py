@@ -33,10 +33,12 @@ MAX_DEGREE, so `_Gen` checks nothing.
 Checking identities generates one straight-line function from both sides of
 each, `f(v0, v1, ...) -> (lhs, rhs, ...)` over coefficient tuples.  Every
 operation in it is chosen by sort and computed once, however often the sides
-use it, and the functions of the language are expanded into the operations of
-`core` and of the definitions in `decomp`, in their order.  `evaluate` and the
-fast paths of `decomp` run the same kind of function.  Samples give each free
-variable integer coefficients from a seeded generator, the values
+use it: each vector product, scaling, sum and difference is one call of the
+dimension's kernel in `core`.  The functions of the language are expanded
+into the operations of `core` and of the definitions in `decomp`, in their
+order, once per function for each tuple of argument values.  `evaluate` and
+the fast paths of `decomp` run the same kind of function.  Samples give each
+free variable integer coefficients from a seeded generator, the values
 `Random.randint` would draw in the same order, made into backend scalars by
 the backend's ring (`core.BACKENDS`).  Variables are bound by position, so
 identities with equally many free variables see the same samples:
@@ -61,7 +63,9 @@ import random
 from fractions import Fraction
 
 from .core import (
+    _ADD,
     _KERNELS,
+    _SUB,
     BACKENDS,
     DIMS,
     EXACT,
@@ -463,23 +467,26 @@ class _Gen:
     of its coefficients once they are known.  Each operation is one statement,
     value-numbered by its source text: an operation already written on the
     same values is not written again, so whatever the two sides share is
-    computed once.  A tuple of names, maybe negated (what `conj`, `im` and a
-    vector's negation make), is written by `whole` only where it is read
-    whole, by a product, a scaling or as a result, so no statement is left
-    unread.  Products call the dimension's kernel and scalings the
-    ring's `scale`; other vector operations and inner products are unrolled
-    into the same scalar operations, in the same order, as in `core`, so the
-    results are those of `core` bit for bit.  The source names only `v<i>`
-    (the coefficients bound to an expression's i-th free variable), locals
-    `t<n>`, constants `k<n>` and a vector's coefficients `<name>_<i>`: no
-    identity text reaches it.
+    computed once.  A call of a function of the language is value-numbered
+    by its name and its argument values, so it is expanded once.  A tuple of
+    names, maybe negated (what `conj`, `im` and a vector's negation make), is
+    written by `whole` only where it is read whole, by a kernel or as a
+    result, so no statement is left unread.  Vector products, scalings, sums
+    and differences call the dimension's kernels in `core` (`_mul`, the
+    ring's `_scale`, `_add`, `_sub`), as `core`'s functions do; inner
+    products are unrolled into the scalar operations of `core.inner`, in its
+    order, so the results are those of `core` bit for bit.  The source names
+    only `v<i>` (the coefficients bound to an expression's i-th free
+    variable), locals `t<n>`, constants `k<n>` and a vector's coefficients
+    `<name>_<i>`: no identity text reaches it.
     """
 
     def __init__(self, dim: int, backend: str, params: int):
         self.dim = dim
         self.backend = backend
         self.ring = BACKENDS[backend]
-        self.ns = {"_mul": _KERNELS[dim], "_scale": self.ring.scale}
+        self.ns = {"_mul": _KERNELS[dim], "_scale": self.ring.scale[dim],
+                   "_add": _ADD[dim], "_sub": _SUB[dim]}
         self.vars = {}
         self.parts = dict.fromkeys(f"v{i}" for i in range(params))
         self.memo = {}
@@ -505,10 +512,9 @@ class _Gen:
         return name
 
     def vec(self, elems: list) -> str:
+        """The vector of `elems`, names maybe negated: it needs no unpacking,
+        and is written only once read whole."""
         src = f"({', '.join(elems)},)"
-        if any(" " in x for x in elems):
-            return self.let(src, vector=True)
-        # Names, maybe negated: no need to unpack, nor to write until read whole.
         name = self.memo.get(src)
         if name is None:
             name = self.memo[src] = f"t{next(self.names)}"
@@ -531,7 +537,8 @@ class _Gen:
 
     def op(self, sym: str, a: str, b: str) -> str:
         if a in self.parts:
-            return self.vec([f"{x} {sym} {y}" for x, y in zip(self.elems(a), self.elems(b))])
+            kernel = "_add" if sym == "+" else "_sub"
+            return self.let(f"{kernel}({self.whole(a)}, {self.whole(b)})", vector=True)
         return self.let(f"{a} {sym} {b}")
 
     def neg(self, a: str) -> str:
@@ -561,12 +568,18 @@ class _Gen:
             return self.neg(self.value(expr.operand))
         if isinstance(expr, Call):
             args = [self.value(arg) for arg in expr.args]
-            body = FUNCTIONS[expr.func][2]
-            if not isinstance(body, str):
-                return body(self, *args)
-            outer, self.vars = self.vars, dict(zip(("u1", "u2", "u3"), args))
-            value = self.value(_body(body))
-            self.vars = outer
+            # Never a statement's key (a str) nor a constant's (a type first).
+            key = (expr.func, *args)
+            value = self.memo.get(key)
+            if value is None:
+                body = FUNCTIONS[expr.func][2]
+                if isinstance(body, str):
+                    outer, self.vars = self.vars, dict(zip(("u1", "u2", "u3"), args))
+                    value = self.value(_body(body))
+                    self.vars = outer
+                else:
+                    value = body(self, *args)
+                self.memo[key] = value
             return value
         a, b = self.value(expr.left), self.value(expr.right)
         if isinstance(expr, Mul):

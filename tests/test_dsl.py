@@ -746,6 +746,47 @@ def test_suite_lines_checked_together_share_products(monkeypatch):
     assert [r.status for r in reports] == ["PASS"] * len(builtin_lines(8))
 
 
+@pytest.mark.parametrize("backend", [EXACT, BINARY64])
+def test_suite_functions_call_one_kernel_per_vector_operation(monkeypatch, backend):
+    # Straight-line functions: each call in the source runs once per trial.
+    # Every vector product, scaling, sum and difference is one kernel call,
+    # and no statement builds a vector from per-coefficient sums.
+    sources = []
+    source = dsl._source
+
+    def recorded(*args):
+        src, ns = source(*args)
+        sources.append(src)
+        return src, ns
+
+    monkeypatch.setattr(dsl, "_source", recorded)
+    assert all(r.status == "PASS" for r in check_identities(builtin_lines(8), 8, backend, trials=1))
+    assert len(sources) == 4
+    calls = {kernel: sum(src.count(f"{kernel}(") for src in sources)
+             for kernel in ("_mul", "_scale", "_add", "_sub")}
+    assert calls == {"_mul": 74, "_scale": 49, "_add": 16, "_sub": 34}
+    for line in "".join(sources).splitlines():
+        rhs = line.partition(" = ")[2]
+        if rhs.startswith("("):
+            assert " + " not in rhs and " - " not in rhs, line
+    assert sum(map(len, sources)) < 14_000
+
+
+def test_each_call_is_expanded_once_per_function(monkeypatch):
+    # A call on the same argument values is value-numbered as a statement is:
+    # its definition's text is expanded once per generated function.
+    expansions = []
+    body = dsl._body
+
+    def counted(text):
+        expansions.append(text)
+        return body(text)
+
+    monkeypatch.setattr(dsl, "_body", counted)
+    list(check_identities(builtin_lines(8), trials=1))
+    assert len(expansions) == 37
+
+
 def test_function_definitions_are_parsed_once(monkeypatch):
     # Each line is tokenized once per check; the definitions of FUNCTIONS,
     # once per process.

@@ -1,9 +1,10 @@
 """Each fast path on the checking hot path against the plain code it replaces.
 
-The generated kernels must reproduce `_t_mul` bit for bit, except the sign of
-a NaN (the fold writes `x - y` for `x + (-y)`), the sampler must
-reproduce `Random.randint`, and `scale` must return what `_canon(s * x)`
-returns, value and type.  Any difference here would change reports.
+The generated product kernels must reproduce `_t_mul` bit for bit, except the
+sign of a NaN (the fold writes `x - y` for `x + (-y)`), the sum and difference
+kernels `_t_add` and `_t_sub`, and the scaling kernels `s * x` on binary64 and
+what `_canon(s * x)` returns on exact, value and type.  The sampler must
+reproduce `Random.randint`.  Any difference here would change reports.
 """
 
 import dis
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given
 
 from triprod import BINARY64, DIMS, EXACT, HNum, check_identity, mul, scale
-from triprod.core import _KERNELS, _canon, _t_mul
+from triprod.core import _ADD, _KERNELS, _SUB, BACKENDS, _canon, _t_add, _t_mul, _t_sub
 from triprod.dsl import _sampler
 
 INTS = st.integers(min_value=-10**30, max_value=10**30)
@@ -192,3 +193,48 @@ def test_scale_with_fraction_coefficients_takes_the_general_path():
     got = scale(Fraction(2, 3), HNum(2, (Fraction(3, 2), 5), EXACT)).coeffs
     assert got == (1, Fraction(10, 3))
     assert [type(c) for c in got] == [int, Fraction]
+
+
+RATIONALS = st.one_of(INTS, FRACTIONS, INTS.map(Fraction))
+# Every float, the infinities and NaN among them, and the signed zeros often.
+ANY_FLOATS = st.floats() | st.sampled_from(SPECIALS)
+
+
+def _vectors(coeff, dim):
+    return st.lists(coeff, min_size=dim, max_size=dim).map(tuple)
+
+
+def _assert_vector_kernels_match(dim, s, a, b, backend):
+    for kernel, plain in ((_ADD, _t_add), (_SUB, _t_sub)):
+        assert list(map(_exact, kernel[dim](a, b))) == list(map(_exact, plain(a, b)))
+    if backend == EXACT:
+        expected = [_canon(Fraction(s) * x) for x in a]
+    else:
+        expected = [s * x for x in a]
+    got = BACKENDS[backend].scale[dim](s, a)
+    assert list(map(_exact, got)) == list(map(_exact, expected))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@given(data=st.data())
+def test_vector_kernels_match_the_plain_code_on_rationals(dim, data):
+    s = data.draw(RATIONALS)
+    a, b = data.draw(_vectors(RATIONALS, dim)), data.draw(_vectors(RATIONALS, dim))
+    _assert_vector_kernels_match(dim, s, a, b, EXACT)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@given(data=st.data())
+def test_vector_kernels_match_the_plain_code_bit_for_bit_on_floats(dim, data):
+    s = data.draw(ANY_FLOATS)
+    a, b = data.draw(_vectors(ANY_FLOATS, dim)), data.draw(_vectors(ANY_FLOATS, dim))
+    _assert_vector_kernels_match(dim, s, a, b, BINARY64)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_vector_kernels_keep_signed_zeros_infinities_and_nans(dim):
+    rng = random.Random(dim)
+    for _ in range(500):
+        s = rng.choice(SPECIALS)
+        a, b = (tuple(rng.choice(SPECIALS) for _ in range(dim)) for _ in (0, 1))
+        _assert_vector_kernels_match(dim, s, a, b, BINARY64)
