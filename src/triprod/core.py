@@ -39,7 +39,10 @@ coefficients, compared within a tolerance (`REL_TOL` by default), never with
 `allclose` and `scalar_close` apply the binary64 ring's `compare`, so a
 non-finite deviation is never close there either.  The exact ring's scaling
 keeps integer coefficients as ints wherever the product by a rational is
-integral, so halving an even sum builds no Fraction.
+integral, so halving an even sum builds no Fraction.  `binary64_twin` states
+where binary64 computes an exact ring's values exactly, and `rational` gives
+a float's exact value: `dsl` runs an exact check in binary64 there, with the
+same verdicts and deviations.
 
 Values are immutable and every operation is a pure function.  `HNum(dim,
 coeffs, backend)` validates its arguments; the results that `add`, `sub`,
@@ -279,6 +282,29 @@ class _Binary64:
 # coefficient tuples `inputs`: `(worst, failed)`, the largest deviation yet
 # and whether the sides differ.
 BACKENDS = {EXACT: _Exact, BINARY64: _Binary64}
+
+
+# IEEE 754 gives the exact result of every operation whose exact result is a
+# binary64 value (Higham 2002, §2.2), and n/d is one for each whole |n| and
+# each power of two d below this.
+EXACT_BELOW = 2**52
+
+
+def binary64_twin(ring, bound: int, denominator: int):
+    """The binary64 ring where it computes a check on `ring` exactly, and so
+    gives its verdicts: where `ring` has no tolerance, and every value of the
+    check is a whole number of magnitude at most `bound` over `denominator`,
+    a power of two, both below EXACT_BELOW.  None elsewhere."""
+    if (ring.tolerance is None and bound < EXACT_BELOW and denominator < EXACT_BELOW
+            and not denominator & denominator - 1):
+        return _Binary64
+    return None
+
+
+def rational(x):
+    """The exact ring's scalar of a binary64 scalar, or tuple of them, of the
+    same value."""
+    return tuple(map(rational, x)) if type(x) is tuple else _canon(Fraction(x))
 
 
 def scalar_ring(backend: str):

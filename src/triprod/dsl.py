@@ -53,13 +53,27 @@ each trial, as no scalar comparison is made here: whether the sides differ,
 exactly on the exact backend, beyond the tolerance or not finite on binary64,
 and by how much.  A PASS is a property-check verdict ("no counterexample
 found"), not a proof.
+
+An exact check computes in binary64 where a static bound proves that exact.
+While writing a function, `_Gen` bounds each value as a whole number over a
+denominator, in terms of the largest sample coefficient.  Where the ring's
+tolerance is None, every denominator is a power of two and the largest whole
+number is below 2**52 (`core.binary64_twin`), `_run_check` runs the same
+code on float copies of the samples, with the binary64 ring's scaling kernel
+and float constants.  IEEE 754 then gives every value exactly, so the sides
+are equal as floats where they are equal as rationals, and a trial whose
+sides differ is decided by the exact ring's `compare` on their exact values:
+the reports are those of rational arithmetic, byte for byte.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 import random
+import types
 from fractions import Fraction
 
 from .core import (
@@ -72,9 +86,11 @@ from .core import (
     HNum,
     Record,
     basis,
+    binary64_twin,
     check_dim,
     check_options,
     coeff_str,
+    rational,
     scalar_ring,
     scalar_str,
 )
@@ -479,6 +495,14 @@ class _Gen:
     only `v<i>` (the coefficients bound to an expression's i-th free
     variable), locals `t<n>`, constants `k<n>` and a vector's coefficients
     `<name>_<i>`: no identity text reaches it.
+
+    Each value also gets a static bound `(c, d, den)` in `bounds`: `den`
+    times the value is a whole number of magnitude at most `c * R**d` where
+    no variable's coefficient passes R in magnitude (`_widen`, `_times`).
+    A vector's bound holds for each coefficient, and a product kernel's or
+    an inner product's for each of its partial sums, sums of at most `dim`
+    products.  `top` bounds every value at once, variables and constants
+    included: `0*x` hides a large `x` from the values that read it.
     """
 
     def __init__(self, dim: int, backend: str, params: int):
@@ -489,26 +513,41 @@ class _Gen:
                    "_add": _ADD[dim], "_sub": _SUB[dim]}
         self.vars = {}
         self.parts = dict.fromkeys(f"v{i}" for i in range(params))
+        self.bounds = dict.fromkeys(self.parts, (1, 1, 1))
+        self.top = (1, 1, 1)
         self.memo = {}
         self.lines = []
         self.names = itertools.count()
         self.unwritten = {}  # vector of names -> its tuple's source
 
-    def let(self, src: str, vector: bool = False) -> str:
+    def bound(self, x: str) -> tuple:
+        return self.bounds[x.lstrip("-")]
+
+    def note(self, name: str, bound: tuple):
+        self.bounds[name] = bound
+        self.top = _widen(self.top, bound)
+
+    def let(self, src: str, bound: tuple, vector: bool = False) -> str:
         name = self.memo.get(src)
         if name is None:
             name = self.memo[src] = f"t{next(self.names)}"
             self.lines.append(f"    {name} = {src}\n")
+            self.note(name, bound)
             if vector:
                 self.parts[name] = None
         return name
 
-    def const(self, value) -> str:
+    def const(self, value, bound: tuple | None = None) -> str:
+        """The name of constant `value`; a tuple's `bound` is given."""
         key = (type(value), value)
         name = self.memo.get(key)
         if name is None:
             name = self.memo[key] = f"k{len(self.ns)}"
             self.ns[name] = value
+            if bound is None:
+                q = Fraction(value)
+                bound = max(q.numerator, -q.numerator), 0, q.denominator
+            self.note(name, bound)
         return name
 
     def vec(self, elems: list) -> str:
@@ -519,8 +558,15 @@ class _Gen:
         if name is None:
             name = self.memo[src] = f"t{next(self.names)}"
             self.parts[name] = elems
+            self.bounds[name] = functools.reduce(_widen, map(self.bound, elems))
             self.unwritten[name] = src
         return name
+
+    def split(self, v: str, parts: list):
+        """Give vector `v` its `parts`: the vector of just these, in order,
+        is `v`."""
+        self.parts[v] = parts
+        self.memo[f"({', '.join(parts)},)"] = v
 
     def whole(self, v: str) -> str:
         """`v`, read as a tuple: a vector of names is written first."""
@@ -531,27 +577,32 @@ class _Gen:
 
     def elems(self, v: str) -> list:
         if self.parts[v] is None:
-            self.parts[v] = [f"{v}_{i}" for i in range(self.dim)]
-            self.lines.append(f"    {', '.join(self.parts[v])}, = {v}\n")
+            parts = [f"{v}_{i}" for i in range(self.dim)]
+            self.lines.append(f"    {', '.join(parts)}, = {v}\n")
+            self.bounds.update(dict.fromkeys(parts, self.bounds[v]))
+            self.split(v, parts)
         return self.parts[v]
 
     def op(self, sym: str, a: str, b: str) -> str:
+        bound = _widen(self.bound(a), self.bound(b), operator.add)
         if a in self.parts:
             kernel = "_add" if sym == "+" else "_sub"
-            return self.let(f"{kernel}({self.whole(a)}, {self.whole(b)})", vector=True)
-        return self.let(f"{a} {sym} {b}")
+            return self.let(f"{kernel}({self.whole(a)}, {self.whole(b)})", bound, vector=True)
+        return self.let(f"{a} {sym} {b}", bound)
 
     def neg(self, a: str) -> str:
         if a in self.parts:
             return self.vec([_negated(x) for x in self.elems(a)])
-        return a[1:] if a[0] == "-" else self.let(f"-{a}")
+        return a[1:] if a[0] == "-" else self.let(f"-{a}", self.bound(a))
 
     def mul(self, a: str, b: str) -> str:
         if a in self.parts:
-            return self.let(f"_mul({self.whole(a)}, {self.whole(b)})", vector=True)
+            bound = _times(self.bound(a), self.bound(b), self.dim)
+            return self.let(f"_mul({self.whole(a)}, {self.whole(b)})", bound, vector=True)
+        bound = _times(self.bound(a), self.bound(b))
         if b in self.parts:
-            return self.let(f"_scale({a}, {self.whole(b)})", vector=True)
-        return self.let(f"{a} * {b}")
+            return self.let(f"_scale({a}, {self.whole(b)})", bound, vector=True)
+        return self.let(f"{a} * {b}", bound)
 
     def value(self, expr: Expr) -> str:
         """The value of `expr`, after writing the statements it needs."""
@@ -561,8 +612,8 @@ class _Gen:
             return self.vars[expr.name]
         if isinstance(expr, (Unit, Basis)):
             coeffs = basis(self.dim, getattr(expr, "index", 0), self.backend).coeffs  # i0 is e0
-            name = self.const(coeffs)
-            self.parts[name] = [self.const(c) for c in coeffs]
+            name = self.const(coeffs, (1, 0, 1))
+            self.split(name, [self.const(c) for c in coeffs])
             return name
         if isinstance(expr, Neg):
             return self.neg(self.value(expr.operand))
@@ -601,12 +652,25 @@ class _Gen:
     def inner(self, a, b):
         # Left to right from int 0, as `core.inner`: `+` associates left.
         terms = [f"{x} * {y}" for x, y in zip(self.elems(a), self.elems(b))]
-        return self.let(" + ".join([self.const(0), *terms]))
+        bound = _times(self.bound(a), self.bound(b), self.dim)
+        return self.let(" + ".join([self.const(0), *terms]), bound)
 
 
 def _negated(x: str) -> str:
     """The negation of a part, a name maybe negated: -(-x) is x, bit for bit."""
     return x[1:] if x[0] == "-" else f"-{x}"
+
+
+def _widen(x: tuple, y: tuple, join=max) -> tuple:
+    """The bound of a sum (`join` add) of values bounded by `x` and `y`, or
+    of either one (`join` max), over their least common denominator."""
+    den = math.lcm(x[2], y[2])
+    return join(x[0] * (den // x[2]), y[0] * (den // y[2])), max(x[1], y[1]), den
+
+
+def _times(x: tuple, y: tuple, terms: int = 1) -> tuple:
+    """The bound of a sum of `terms` products of values bounded by `x` and `y`."""
+    return terms * x[0] * y[0], x[1] + y[1], x[2] * y[2]
 
 
 @functools.cache
@@ -634,7 +698,8 @@ FUNCTIONS = {
 
 
 def _source(exprs, names, dim: int, backend: str) -> tuple:
-    """The source of `_generate`'s function, and the namespace it runs in."""
+    """The source of `_generate`'s function, and the namespace it runs in,
+    whose `_bound` is the generator's `top`, read by no statement."""
     count = max(map(len, names), default=0)
     gen = _Gen(dim, backend, count)
     outs = []
@@ -642,6 +707,7 @@ def _source(exprs, names, dim: int, backend: str) -> tuple:
         gen.vars = {name: f"v{i}" for i, name in enumerate(expr_names)}
         outs.append(gen.whole(gen.value(expr)))
     params = ", ".join(f"v{i}" for i in range(count))
+    gen.ns["_bound"] = gen.top
     return f"def f({params}):\n{''.join(gen.lines)}    return ({', '.join(outs)},)\n", gen.ns
 
 
@@ -701,15 +767,24 @@ class CheckReport(Record):
     _defaults = {"message": ""}
 
 
-def _run_check(identities, samples, dim, backend, tolerance, seed) -> list:
+def _run_check(identities, samples, dim, backend, tolerance, seed, coeff_range=None) -> list:
     """Reports for identities with equally many free variables, checked
     together: on each sample, a tuple of coefficient tuples bound to each
     identity's free variables in order, one generated function gives both
-    sides of every identity, so whatever they share is computed once."""
+    sides of every identity, so whatever they share is computed once.
+
+    Where no sample coefficient passes `coeff_range` in magnitude and
+    `core.binary64_twin` finds that binary64 computes every value of the
+    function exactly, the function runs on float copies of the samples, and
+    a trial whose sides differ is decided on their exact values."""
     ring = BACKENDS[backend]
     names = [identity.free_vars for identity in identities for _ in (0, 1)]
     exprs = [side for identity in identities for side in (identity.lhs, identity.rhs)]
     sides = _generate(exprs, names, dim, backend)
+    c, d, den = sides.__globals__["_bound"]
+    floats = coeff_range and binary64_twin(ring, c * coeff_range**d, den)
+    if floats:
+        sides = _on_ring(sides, floats, dim)
     compare = ring.compare
     count = len(identities)
     trials = 0
@@ -718,8 +793,10 @@ def _run_check(identities, samples, dim, backend, tolerance, seed) -> list:
     witnesses = [None] * count
     for args in samples:
         trials += 1
-        values = iter(sides(*args))
+        values = iter(sides(*[floats.from_ints(a) for a in args]) if floats else sides(*args))
         for k, lhs, rhs in zip(range(count), values, values):
+            if floats and lhs != rhs:
+                lhs, rhs = rational(lhs), rational(rhs)
             max_devs[k], failed = compare(lhs, rhs, tolerance, args, max_devs[k])
             if failed:
                 failures[k] += 1
@@ -734,6 +811,15 @@ def _run_check(identities, samples, dim, backend, tolerance, seed) -> list:
         )
         for k, identity in enumerate(identities)
     ]
+
+
+def _on_ring(f, ring, dim: int):
+    """Generated function `f` on `ring`: the same code, with `ring`'s scaling
+    kernel and its scalars for the constants `k<n>`."""
+    ns = f.__globals__
+    consts = {name: ring.from_ints(value) if type(value) is tuple else ring.coerce(value)
+              for name, value in ns.items() if name[0] == "k"}
+    return types.FunctionType(f.__code__, {**ns, **consts, "_scale": ring.scale[dim]})
 
 
 def _prepare(identity, dim: int, backend: str, seed):
@@ -776,11 +862,12 @@ def _sampler(rng: random.Random, bound: int):
     return draw
 
 
-def _checks(identities, samples, dim, backend, tolerance, seed):
+def _checks(identities, samples, dim, backend, tolerance, seed, coeff_range):
     """Yield a report per identity, in order, taking GROUP_SIZE at a time.
     When the first of a batch's identities with `count` free variables is
     due, its group, all of those, is made and checked together by
-    `_run_check` on `samples(count)`."""
+    `_run_check` on `samples(count)`, whose coefficients are at most
+    `coeff_range` in magnitude."""
     identities = iter(identities)
     while batch := [_prepare(identity, dim, backend, seed)
                     for identity in itertools.islice(identities, GROUP_SIZE)]:
@@ -794,7 +881,7 @@ def _checks(identities, samples, dim, backend, tolerance, seed):
                 group = [x for x in batch
                          if not isinstance(x, CheckReport) and len(x.free_vars) == count]
                 reports[count] = iter(_run_check(group, samples(count), dim, backend,
-                                                tolerance, seed))
+                                                tolerance, seed, coeff_range))
             yield next(reports[count])
 
 
@@ -821,7 +908,7 @@ def check_identities(identities, dim: int = 8, backend: str = EXACT, trials: int
             ints = draw(size)
             yield tuple([from_ints(ints[i:i + dim]) for i in range(0, size, dim)])
 
-    return _checks(identities, samples, dim, backend, tolerance, seed)
+    return _checks(identities, samples, dim, backend, tolerance, seed, coeff_range)
 
 
 def check_identity(identity, dim: int = 8, backend: str = EXACT, trials: int = 1000,
@@ -862,7 +949,7 @@ def check_identity_basis(identity, dim: int = 8, backend: str = EXACT,
         bases = [basis(dim, k, backend).coeffs for k in range(dim)]
         return itertools.product(bases, repeat=count)
 
-    return next(_checks((identity,), samples, dim, backend, tolerance, 0))
+    return next(_checks((identity,), samples, dim, backend, tolerance, 0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -817,6 +817,112 @@ def test_generated_source_negates_a_negated_part_once(text):
     assert check_identity(text, trials=20).status == "PASS"
 
 
+@pytest.mark.parametrize("dim", DIMS)
+def test_no_statement_rebuilds_a_vector_from_its_own_parts(monkeypatch, dim):
+    # A vector of exactly another's parts, in order, as conj(conj(u2)), is
+    # that vector: its name is reused, no tuple of its parts is written.
+    sources = []
+    source = dsl._source
+
+    def recorded(*args):
+        src, ns = source(*args)
+        sources.append(src)
+        return src, ns
+
+    monkeypatch.setattr(dsl, "_source", recorded)
+    list(check_identities(builtin_lines(dim) + ["conj(conj(u1)) == u1", "-(-e1) == e1"], dim,
+                          trials=1))
+    rebuilt = []
+    for line in "".join(sources).splitlines():
+        _, eq, rhs = line.partition(" = (")
+        parts = rhs.rstrip(",)").split(", ")
+        owner = parts[0][:-2]
+        if eq and parts == [f"{owner}_{i}" for i in range(dim)] and owner[0] != "-":
+            rebuilt.append(line)
+    assert rebuilt == []
+
+
+# Lines that fail on every dimension, some by rational deviations, some with
+# a constant that no binary64 value equals.
+FALSE_LINES = [
+    "1/2*u1 == u1",
+    "1/3*u1 == u1",
+    "1/2*u1 + 1/4*u2 == 3/8*(u1 + u2)",
+    "3/1024*re(u1) == re(u1)",
+    "cross(u1, u2) == u1*u2 + i0",
+    "normsq(u1*u2) == -normsq(u1)*normsq(u2)",
+    "inner(u1, u2) == 3/2",
+    "(u1*conj(u2))*u3 == acomm3(u1,u2,u3) + cross3(u1,u2,u3) - assoc(u1,u2,u3) + 1/2*u3",
+    "u1*u1 == 0*i0",
+]
+
+
+def _rendered(reports):
+    return [(dsl.report_text(r), report_json_obj(r)) for r in reports]
+
+
+@pytest.mark.parametrize("coeff_range", [1, 9, 1000, 10**6])
+def test_checks_on_binary64_report_what_exact_arithmetic_does(monkeypatch, coeff_range):
+    # The same reports, byte for byte, with the binary64 runs of exact checks
+    # and without them (a bound that nothing passes).
+    used = []
+    twin = dsl.binary64_twin
+    monkeypatch.setattr(dsl, "binary64_twin", lambda *args: used.append(twin(*args)) or used[-1])
+
+    def reports():
+        out = []
+        for dim in DIMS:
+            kw = dict(dim=dim, trials=30, coeff_range=coeff_range)
+            out += check_identities(builtin_lines(dim), **kw)
+            out += check_identities(FALSE_LINES, **kw)
+        return _rendered(out)
+
+    fast = reports()
+    assert any(used) and not all(used)
+    used.clear()
+    monkeypatch.setattr(core, "EXACT_BELOW", 0)
+    assert reports() == fast
+    assert used and not any(used)
+
+
+def test_basis_checks_on_binary64_report_what_exact_arithmetic_does(monkeypatch):
+    def reports():
+        return _rendered(check_identity_basis(line, dim=dim)
+                         for dim in DIMS for line in FALSE_LINES + builtin_lines(dim)[::4])
+
+    fast = reports()
+    monkeypatch.setattr(core, "EXACT_BELOW", 0)
+    assert reports() == fast
+
+
+@pytest.mark.parametrize("text,coeff_range,status,deviation", [
+    # Binary64 rounds 64*R**4 + 1 to 64*R**4 at R = 10**5, and would pass it.
+    ("normsq(u1)*normsq(u1) + 1 == normsq(u1)*normsq(u1)", 10**5, "FAIL", 1),
+    ("(normsq(u1)*normsq(u1) + 1) - normsq(u1)*normsq(u1) == 1", 10**5, "PASS", 0),
+    # Both sides are bounded by 0, but binary64 overflows inside them, and
+    # 0*inf is NaN: every value's bound counts, not only the sides'.
+    ("0*(" + "*".join(["normsq(u1)"] * 32) + ") == 0", 10**5, "PASS", 0),
+    # 1/10 is no binary64 value, nor any quotient by a number not a power of 2.
+    ("1/10*u1 + 2/10*u1 == 3/10*u1", 9, "PASS", 0),
+], ids=["rounded-sum", "rounded-difference", "overflow-inside", "non-dyadic"])
+def test_exact_checks_run_in_binary64_only_where_it_is_exact(text, coeff_range, status, deviation):
+    report = check_identity(text, coeff_range=coeff_range)
+    assert (report.status, report.max_deviation) == (status, deviation)
+
+
+def test_suite_groups_on_binary64(monkeypatch):
+    # How many of the dim-8 suite's four groups run in binary64, by range.
+    used = []
+    twin = dsl.binary64_twin
+    monkeypatch.setattr(dsl, "binary64_twin", lambda *args: used.append(twin(*args)) or used[-1])
+    counts = []
+    for coeff_range in (9, 1000, 10**6, 2**52):
+        used.clear()
+        list(check_identities(builtin_lines(8), trials=1, coeff_range=coeff_range))
+        counts.append(sum(map(bool, used)))
+    assert counts == [4, 3, 1, 0]
+
+
 def _reprs(reports):
     # repr tells 0 from 0.0 and shows a NaN, which == on reports does not.
     return [repr(r) for r in reports]
