@@ -861,13 +861,20 @@ def _rendered(reports):
     return [(dsl.report_text(r), report_json_obj(r)) for r in reports]
 
 
+def _twins(monkeypatch) -> list:
+    # What each group's `binary64_twin` call returns: a ring where the group
+    # runs in binary64, None where it runs on ints and Fractions.
+    used = []
+    twin = dsl.binary64_twin
+    monkeypatch.setattr(dsl, "binary64_twin", lambda *args: used.append(twin(*args)) or used[-1])
+    return used
+
+
 @pytest.mark.parametrize("coeff_range", [1, 9, 1000, 10**6])
 def test_checks_on_binary64_report_what_exact_arithmetic_does(monkeypatch, coeff_range):
     # The same reports, byte for byte, with the binary64 runs of exact checks
     # and without them (a bound that nothing passes).
-    used = []
-    twin = dsl.binary64_twin
-    monkeypatch.setattr(dsl, "binary64_twin", lambda *args: used.append(twin(*args)) or used[-1])
+    used = _twins(monkeypatch)
 
     def reports():
         out = []
@@ -912,9 +919,7 @@ def test_exact_checks_run_in_binary64_only_where_it_is_exact(text, coeff_range, 
 
 def test_suite_groups_on_binary64(monkeypatch):
     # How many of the dim-8 suite's four groups run in binary64, by range.
-    used = []
-    twin = dsl.binary64_twin
-    monkeypatch.setattr(dsl, "binary64_twin", lambda *args: used.append(twin(*args)) or used[-1])
+    used = _twins(monkeypatch)
     counts = []
     for coeff_range in (9, 1000, 10**6, 2**52):
         used.clear()
