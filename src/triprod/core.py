@@ -302,9 +302,8 @@ def binary64_twin(ring, bound: int, denominator: int):
 
 
 def rational(x):
-    """The exact ring's scalar of a binary64 scalar, or tuple of them, of the
-    same value."""
-    return tuple(map(rational, x)) if type(x) is tuple else _canon(Fraction(x))
+    """The exact ring's scalar of binary64 scalar `x`, of the same value."""
+    return _canon(Fraction(x))
 
 
 def scalar_ring(backend: str):

@@ -201,7 +201,7 @@ def _run(form: str, u1: HNum, u2: HNum, u3: HNum) -> tuple:
         texts = BACKENDS[u1.backend].tolerance is None and _EXACT_FORMS.get(form) or _FORMS[form]
         exprs = [dsl._body(text) for text in texts]
         names = [("u1", "u2", "u3")] * len(exprs)
-        f = _FUNCS[key] = dsl._generate(exprs, names, u1.dim, u1.backend)
+        f = _FUNCS[key] = dsl._generate(exprs, names, u1.dim, u1.backend)[0]
     return f(u1.coeffs, u2.coeffs, u3.coeffs)
 
 

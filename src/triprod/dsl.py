@@ -61,9 +61,12 @@ tolerance is None, every denominator is a power of two and the largest whole
 number is below 2**52 (`core.binary64_twin`), `_run_check` runs the same
 code on float copies of the samples, with the binary64 ring's scaling kernel
 and float constants.  IEEE 754 then gives every value exactly, so the sides
-are equal as floats where they are equal as rationals, and a trial whose
-sides differ is decided by the exact ring's `compare` on their exact values:
-the reports are those of rational arithmetic, byte for byte.
+are equal as floats where they are equal as rationals.  Their differences
+are exact too, whole numbers below 2**53 over the same power of two, so the
+exact ring's `compare` decides each trial on the floats, and the largest
+deviation is turned back into a rational once: the reports print as those of
+rational arithmetic, byte for byte.  (An integral deviation is then an int,
+where Fraction arithmetic may leave the equal Fraction(n, 1).)
 """
 
 from __future__ import annotations
@@ -698,8 +701,8 @@ FUNCTIONS = {
 
 
 def _source(exprs, names, dim: int, backend: str) -> tuple:
-    """The source of `_generate`'s function, and the namespace it runs in,
-    whose `_bound` is the generator's `top`, read by no statement."""
+    """The source of `_generate`'s function, and the `_Gen` that wrote it:
+    the function runs in its `ns`, and its `top` bounds the values."""
     count = max(map(len, names), default=0)
     gen = _Gen(dim, backend, count)
     outs = []
@@ -707,17 +710,17 @@ def _source(exprs, names, dim: int, backend: str) -> tuple:
         gen.vars = {name: f"v{i}" for i, name in enumerate(expr_names)}
         outs.append(gen.whole(gen.value(expr)))
     params = ", ".join(f"v{i}" for i in range(count))
-    gen.ns["_bound"] = gen.top
-    return f"def f({params}):\n{''.join(gen.lines)}    return ({', '.join(outs)},)\n", gen.ns
+    return f"def f({params}):\n{''.join(gen.lines)}    return ({', '.join(outs)},)\n", gen
 
 
 def _generate(exprs, names, dim: int, backend: str):
     """`f(v0, v1, ...)`: the tuple of the values of `exprs`, each a coefficient
     tuple or a scalar, when `vi` is the coefficient tuple of `names[k][i]` in
-    `exprs[k]`.  Expressions that bind the same tuples share their operations."""
-    src, ns = _source(exprs, names, dim, backend)
-    exec(compile(src, "<triprod identity>", "exec"), ns)
-    return ns["f"]
+    `exprs[k]`.  Expressions that bind the same tuples share their operations.
+    With `f`, the bound `_Gen.top` of every value it computes."""
+    src, gen = _source(exprs, names, dim, backend)
+    exec(compile(src, "<triprod identity>", "exec"), gen.ns)
+    return gen.ns["f"], gen.top
 
 
 def evaluate(expr: Expr, env: dict, dim: int, backend: str = EXACT):
@@ -746,7 +749,7 @@ def evaluate(expr: Expr, env: dict, dim: int, backend: str = EXACT):
         if (u.dim, u.backend) != (dim, backend):
             raise ValueError(f"{name} is not a dimension {dim} {backend} value")
         args.append(u.coeffs)
-    (value,) = _generate((expr,), (names,), dim, backend)(*args)
+    (value,) = _generate((expr,), (names,), dim, backend)[0](*args)
     return HNum(dim, value, backend) if isinstance(value, tuple) else value
 
 
@@ -767,7 +770,7 @@ class CheckReport(Record):
     _defaults = {"message": ""}
 
 
-def _run_check(identities, samples, dim, backend, tolerance, seed, coeff_range=None) -> list:
+def _run_check(identities, samples, dim, backend, tolerance, seed, coeff_range) -> list:
     """Reports for identities with equally many free variables, checked
     together: on each sample, a tuple of coefficient tuples bound to each
     identity's free variables in order, one generated function gives both
@@ -775,14 +778,14 @@ def _run_check(identities, samples, dim, backend, tolerance, seed, coeff_range=N
 
     Where no sample coefficient passes `coeff_range` in magnitude and
     `core.binary64_twin` finds that binary64 computes every value of the
-    function exactly, the function runs on float copies of the samples, and
-    a trial whose sides differ is decided on their exact values."""
+    function exactly, the function runs on float copies of the samples.  Its
+    sides, and so the differences `compare` takes, are then exact, and the
+    largest is turned back into a rational once, for the report."""
     ring = BACKENDS[backend]
     names = [identity.free_vars for identity in identities for _ in (0, 1)]
     exprs = [side for identity in identities for side in (identity.lhs, identity.rhs)]
-    sides = _generate(exprs, names, dim, backend)
-    c, d, den = sides.__globals__["_bound"]
-    floats = coeff_range and binary64_twin(ring, c * coeff_range**d, den)
+    sides, (c, d, den) = _generate(exprs, names, dim, backend)
+    floats = binary64_twin(ring, c * coeff_range**d, den)
     if floats:
         sides = _on_ring(sides, floats, dim)
     compare = ring.compare
@@ -795,14 +798,14 @@ def _run_check(identities, samples, dim, backend, tolerance, seed, coeff_range=N
         trials += 1
         values = iter(sides(*[floats.from_ints(a) for a in args]) if floats else sides(*args))
         for k, lhs, rhs in zip(range(count), values, values):
-            if floats and lhs != rhs:
-                lhs, rhs = rational(lhs), rational(rhs)
             max_devs[k], failed = compare(lhs, rhs, tolerance, args, max_devs[k])
             if failed:
                 failures[k] += 1
                 if witnesses[k] is None:
                     witnesses[k] = {name: HNum(dim, a, backend)
                                     for name, a in zip(identities[k].free_vars, args)}
+    if floats:
+        max_devs = list(map(rational, max_devs))
     return [
         CheckReport(
             identity=identity.text, dim=dim, backend=backend, trials=trials,

@@ -570,7 +570,8 @@ def test_deviation_keeps_a_nan_in_any_place():
     assert _deviation((0.0, 5.0), (1.0, 2.0)) == 3.0
     # Only the first trial overflows (inf - inf); later, finite ones keep its NaN.
     samples = [((x,),) for x in (1e300, 1.0, 3.0)]
-    (report,) = _run_check([parse("u1*u1 == u1*u1 + u1 - u1")], samples, 1, BINARY64, 1e-9, 0)
+    (report,) = _run_check([parse("u1*u1 == u1*u1 + u1 - u1")], samples, 1, BINARY64, 1e-9, 0,
+                           10**300)
     assert report.failures == 1
     assert report.max_deviation != report.max_deviation
 
@@ -846,6 +847,7 @@ def test_no_statement_rebuilds_a_vector_from_its_own_parts(monkeypatch, dim):
 # a constant that no binary64 value equals.
 FALSE_LINES = [
     "1/2*u1 == u1",
+    "1/2*u1 + 1/2*u1 == 2*u1",
     "1/3*u1 == u1",
     "1/2*u1 + 1/4*u2 == 3/8*(u1 + u2)",
     "3/1024*re(u1) == re(u1)",
@@ -858,7 +860,9 @@ FALSE_LINES = [
 
 
 def _rendered(reports):
-    return [(dsl.report_text(r), report_json_obj(r)) for r in reports]
+    # Equal reports, rendered alike.  Not repr: a deviation that binary64
+    # finds integral is an int where Fractions may hold it as Fraction(n, 1).
+    return [(dsl.report_text(r), report_json_obj(r), r) for r in reports]
 
 
 def _twins(monkeypatch) -> list:
@@ -872,8 +876,8 @@ def _twins(monkeypatch) -> list:
 
 @pytest.mark.parametrize("coeff_range", [1, 9, 1000, 10**6])
 def test_checks_on_binary64_report_what_exact_arithmetic_does(monkeypatch, coeff_range):
-    # The same reports, byte for byte, with the binary64 runs of exact checks
-    # and without them (a bound that nothing passes).
+    # The same reports, rendered byte for byte, with the binary64 runs of
+    # exact checks and without them (a bound that nothing passes).
     used = _twins(monkeypatch)
 
     def reports():
@@ -975,7 +979,7 @@ def test_checking_together_keeps_each_lines_nan():
     # second, on the same samples, never sees it.
     samples = [((x,),) for x in (1e300, 1.0, 3.0)]
     first, second = _run_check([parse("u1*u1 == u1*u1 + u1 - u1"), parse("u1 == u1 + u1 - u1")],
-                               samples, 1, BINARY64, 1e-9, 0)
+                               samples, 1, BINARY64, 1e-9, 0, 10**300)
     assert first.failures == 1 and first.max_deviation != first.max_deviation
     assert (second.failures, second.max_deviation) == (0, 0.0)
 
