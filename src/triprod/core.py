@@ -42,7 +42,8 @@ keeps integer coefficients as ints wherever the product by a rational is
 integral, so halving an even sum builds no Fraction.  `binary64_twin` states
 where binary64 computes an exact ring's values exactly, and `rational` gives
 a float's exact value: `dsl` runs an exact check in binary64 there, with the
-same verdicts and deviations.
+same verdicts and deviations.  `equality_decides` states where two sides that
+are `==` pass a trial as the ring's `compare` would decide it.
 
 Values are immutable and every operation is a pure function.  `HNum(dim,
 coeffs, backend)` validates its arguments; the results that `add`, `sub`,
@@ -299,6 +300,22 @@ def binary64_twin(ring, bound: int, denominator: int):
             and not denominator & denominator - 1):
         return _Binary64
     return None
+
+
+# No binary64 value of a check overflows, rounding included, where every
+# exact value is below this in magnitude: rounding grows a value by far less
+# than the factor 2**24 left below the largest float.
+FINITE_BELOW = 2**1000
+
+
+def equality_decides(ring, bound: int, denominator: int) -> bool:
+    """Whether two sides that are `==` pass a trial on `ring`, as its
+    `compare` decides, in a check whose every value is at most `bound` over
+    `denominator` in magnitude: always where `ring` has no tolerance, and
+    where the values are below FINITE_BELOW elsewhere.  Past that a value may
+    overflow, and `==` takes an infinity for equal to itself, as a tuple does
+    a NaN it holds twice."""
+    return ring.tolerance is None or bound < FINITE_BELOW * denominator
 
 
 def rational(x):

@@ -31,42 +31,49 @@ element beyond the dimension, a literal beyond the backend or a degree above
 MAX_DEGREE, so `_Gen` checks nothing.
 
 Checking identities generates one straight-line function from both sides of
-each, `f(v0, v1, ...) -> (lhs, rhs, ...)` over coefficient tuples.  Every
-operation in it is chosen by sort and computed once, however often the sides
-use it: each vector product, scaling, sum and difference is one call of the
-dimension's kernel in `core`.  The functions of the language are expanded
+each, `f(v0, v1, ...) -> ((lhs, ...), (rhs, ...))` over coefficient tuples.
+Every operation in it is chosen by sort and computed once, however often the
+sides use it: each vector product, scaling, sum and difference is one call of
+the dimension's kernel in `core`.  The functions of the language are expanded
 into the operations of `core` and of the definitions in `decomp`, in their
 order, once per function for each tuple of argument values.  `evaluate` and
 the fast paths of `decomp` run the same kind of function.  Samples give each
 free variable integer coefficients from a seeded generator, the values
-`Random.randint` would draw in the same order, made into backend scalars by
-the backend's ring (`core.BACKENDS`).  Variables are bound by position, so
-identities with equally many free variables see the same samples:
-`check_identities` checks those among each GROUP_SIZE lines together, with one
-function, and whatever they share is computed once per trial.  A group is
-made when its first line is due, from the lines of its batch with as many
-free variables.  Each report is the one the identity gets when checked alone,
-byte for byte; they arrive in bursts, a group's at once.  Every check passes
-its options, the dimension among them, to one call of `core.check_options`,
-so each refuses the same first bad option.  The ring's `compare` decides
-each trial, as no scalar comparison is made here: whether the sides differ,
-exactly on the exact backend, beyond the tolerance or not finite on binary64,
-and by how much.  A PASS is a property-check verdict ("no counterexample
-found"), not a proof.
+`Random.randint` would draw in the same order, with the generator left in
+the state those calls leave it.  They are drawn a block of trials at a time
+(SAMPLE_BLOCK), most ranges with a few `getrandbits` calls per block
+(`_sampler`), made the check's scalars in one conversion per block and cut
+into coefficient tuples.  Variables are bound by position, so identities with
+equally many free variables see the same samples: `check_identities` checks
+those among each GROUP_SIZE lines together, with one function, and whatever
+they share is computed once per trial.  A group is made when its first line
+is due, from the lines of its batch with as many free variables.  Each report
+is the one the identity gets when checked alone, byte for byte; they arrive
+in bursts, a group's at once.  Every check passes its options, the dimension
+among them, to one call of `core.check_options`, so each refuses the same
+first bad option.  The ring's `compare` decides each trial, as no scalar
+comparison is made here: whether the sides differ, exactly on the exact
+backend, beyond the tolerance or not finite on binary64, and by how much.
+Where no value can overflow (`core.equality_decides`), one `==` of the
+group's left sides with its right sides passes a trial first, and an `==` of
+an identity's sides passes it for that identity; only unequal sides reach
+`compare`.  A PASS is a property-check verdict ("no counterexample found"),
+not a proof.
 
 An exact check computes in binary64 where a static bound proves that exact.
 While writing a function, `_Gen` bounds each value as a whole number over a
 denominator, in terms of the largest sample coefficient.  Where the ring's
 tolerance is None, every denominator is a power of two and the largest whole
 number is below 2**52 (`core.binary64_twin`), `_run_check` runs the same
-code on float copies of the samples, with the binary64 ring's scaling kernel
-and float constants.  IEEE 754 then gives every value exactly, so the sides
-are equal as floats where they are equal as rationals.  Their differences
-are exact too, whole numbers below 2**53 over the same power of two, so the
-exact ring's `compare` decides each trial on the floats, and the largest
-deviation is turned back into a rational once: the reports print as those of
-rational arithmetic, byte for byte.  (An integral deviation is then an int,
-where Fraction arithmetic may leave the equal Fraction(n, 1).)
+code on float samples, with the binary64 ring's scaling kernel and float
+constants.  IEEE 754 then gives every value exactly, so the sides are equal
+as floats where they are equal as rationals.  Their differences are exact
+too, whole numbers below 2**53 over the same power of two, so the exact
+ring's `compare` decides each trial on the floats, and the largest deviation
+is turned back into a rational once: the reports print as those of rational
+arithmetic, byte for byte.  (An integral deviation is then an int, where
+Fraction arithmetic may leave the equal Fraction(n, 1).)  A witness is turned
+back into the integer samples.
 """
 
 from __future__ import annotations
@@ -93,6 +100,7 @@ from .core import (
     check_dim,
     check_options,
     coeff_str,
+    equality_decides,
     rational,
     scalar_ring,
     scalar_str,
@@ -118,6 +126,10 @@ MAX_DEGREE = 64
 # Identities parsed and grouped at a time, so also the most checked by one
 # generated function: what a check holds at once grows with it.
 GROUP_SIZE = 64
+
+# Trials whose samples are drawn at a time: what a check holds of its samples
+# grows with it, not with the number of trials.
+SAMPLE_BLOCK = 1024
 
 # The highest index a basis name may give, that of the widest algebra's last
 # element; a check refuses one beyond its own dimension.
@@ -489,8 +501,9 @@ class _Gen:
     computed once.  A call of a function of the language is value-numbered
     by its name and its argument values, so it is expanded once.  A tuple of
     names, maybe negated (what `conj`, `im` and a vector's negation make), is
-    written by `whole` only where it is read whole, by a kernel or as a
-    result, so no statement is left unread.  Vector products, scalings, sums
+    written by `read` only where it is read whole, by a kernel or as a
+    result, and a vector's unpacking into its parts only where a part is
+    read, so no statement is left unread.  Vector products, scalings, sums
     and differences call the dimension's kernels in `core` (`_mul`, the
     ring's `_scale`, `_add`, `_sub`), as `core`'s functions do; inner
     products are unrolled into the scalar operations of `core.inner`, in its
@@ -522,6 +535,7 @@ class _Gen:
         self.lines = []
         self.names = itertools.count()
         self.unwritten = {}  # vector of names -> its tuple's source
+        self.unpackings = {}  # vector -> the statement unpacking it, until a part is read
 
     def bound(self, x: str) -> tuple:
         return self.bounds[x.lstrip("-")]
@@ -556,7 +570,7 @@ class _Gen:
     def vec(self, elems: list) -> str:
         """The vector of `elems`, names maybe negated: it needs no unpacking,
         and is written only once read whole."""
-        src = f"({', '.join(elems)},)"
+        src = _tuple(elems)
         name = self.memo.get(src)
         if name is None:
             name = self.memo[src] = f"t{next(self.names)}"
@@ -569,19 +583,28 @@ class _Gen:
         """Give vector `v` its `parts`: the vector of just these, in order,
         is `v`."""
         self.parts[v] = parts
-        self.memo[f"({', '.join(parts)},)"] = v
+        self.memo[_tuple(parts)] = v
 
-    def whole(self, v: str) -> str:
-        """`v`, read as a tuple: a vector of names is written first."""
-        src = self.unwritten.pop(v, None)
+    def read(self, x: str) -> str:
+        """`x`, read by the statement about to be written: the tuple of a
+        vector of names is written first, and so is the unpacking that gives
+        a part `<name>_<i>`."""
+        src = self.unwritten.pop(x, None)
         if src is not None:
-            self.lines.append(f"    {v} = {src}\n")
-        return v
+            for part in self.parts[x]:
+                self.read(part)
+            self.lines.append(f"    {x} = {src}\n")
+        unpacking = self.unpackings.pop(x.lstrip("-").rpartition("_")[0], None)
+        if unpacking is not None:
+            self.lines.append(unpacking)
+        return x
 
     def elems(self, v: str) -> list:
+        """The parts of vector `v`; the statement unpacking them is written
+        when the first is read, so an unread one is never written."""
         if self.parts[v] is None:
             parts = [f"{v}_{i}" for i in range(self.dim)]
-            self.lines.append(f"    {', '.join(parts)}, = {v}\n")
+            self.unpackings[v] = f"    {', '.join(parts)}, = {v}\n"
             self.bounds.update(dict.fromkeys(parts, self.bounds[v]))
             self.split(v, parts)
         return self.parts[v]
@@ -590,22 +613,22 @@ class _Gen:
         bound = _widen(self.bound(a), self.bound(b), operator.add)
         if a in self.parts:
             kernel = "_add" if sym == "+" else "_sub"
-            return self.let(f"{kernel}({self.whole(a)}, {self.whole(b)})", bound, vector=True)
-        return self.let(f"{a} {sym} {b}", bound)
+            return self.let(f"{kernel}({self.read(a)}, {self.read(b)})", bound, vector=True)
+        return self.let(f"{self.read(a)} {sym} {self.read(b)}", bound)
 
     def neg(self, a: str) -> str:
         if a in self.parts:
             return self.vec([_negated(x) for x in self.elems(a)])
-        return a[1:] if a[0] == "-" else self.let(f"-{a}", self.bound(a))
+        return a[1:] if a[0] == "-" else self.let(f"-{self.read(a)}", self.bound(a))
 
     def mul(self, a: str, b: str) -> str:
         if a in self.parts:
             bound = _times(self.bound(a), self.bound(b), self.dim)
-            return self.let(f"_mul({self.whole(a)}, {self.whole(b)})", bound, vector=True)
+            return self.let(f"_mul({self.read(a)}, {self.read(b)})", bound, vector=True)
         bound = _times(self.bound(a), self.bound(b))
         if b in self.parts:
-            return self.let(f"_scale({a}, {self.whole(b)})", bound, vector=True)
-        return self.let(f"{a} * {b}", bound)
+            return self.let(f"_scale({self.read(a)}, {self.read(b)})", bound, vector=True)
+        return self.let(f"{self.read(a)} * {self.read(b)}", bound)
 
     def value(self, expr: Expr) -> str:
         """The value of `expr`, after writing the statements it needs."""
@@ -654,7 +677,7 @@ class _Gen:
 
     def inner(self, a, b):
         # Left to right from int 0, as `core.inner`: `+` associates left.
-        terms = [f"{x} * {y}" for x, y in zip(self.elems(a), self.elems(b))]
+        terms = [f"{self.read(x)} * {self.read(y)}" for x, y in zip(self.elems(a), self.elems(b))]
         bound = _times(self.bound(a), self.bound(b), self.dim)
         return self.let(" + ".join([self.const(0), *terms]), bound)
 
@@ -662,6 +685,11 @@ class _Gen:
 def _negated(x: str) -> str:
     """The negation of a part, a name maybe negated: -(-x) is x, bit for bit."""
     return x[1:] if x[0] == "-" else f"-{x}"
+
+
+def _tuple(names) -> str:
+    """The source of the tuple of `names`."""
+    return f"({', '.join(names)},)"
 
 
 def _widen(x: tuple, y: tuple, join=max) -> tuple:
@@ -700,7 +728,7 @@ FUNCTIONS = {
 }
 
 
-def _source(exprs, names, dim: int, backend: str) -> tuple:
+def _source(exprs, names, dim: int, backend: str, pairs: bool = False) -> tuple:
     """The source of `_generate`'s function, and the `_Gen` that wrote it:
     the function runs in its `ns`, and its `top` bounds the values."""
     count = max(map(len, names), default=0)
@@ -708,17 +736,21 @@ def _source(exprs, names, dim: int, backend: str) -> tuple:
     outs = []
     for expr, expr_names in zip(exprs, names):
         gen.vars = {name: f"v{i}" for i, name in enumerate(expr_names)}
-        outs.append(gen.whole(gen.value(expr)))
+        outs.append(gen.read(gen.value(expr)))
+    if pairs:
+        outs = [_tuple(outs[0::2]), _tuple(outs[1::2])]
     params = ", ".join(f"v{i}" for i in range(count))
-    return f"def f({params}):\n{''.join(gen.lines)}    return ({', '.join(outs)},)\n", gen
+    return f"def f({params}):\n{''.join(gen.lines)}    return {_tuple(outs)}\n", gen
 
 
-def _generate(exprs, names, dim: int, backend: str):
+def _generate(exprs, names, dim: int, backend: str, pairs: bool = False):
     """`f(v0, v1, ...)`: the tuple of the values of `exprs`, each a coefficient
     tuple or a scalar, when `vi` is the coefficient tuple of `names[k][i]` in
     `exprs[k]`.  Expressions that bind the same tuples share their operations.
-    With `f`, the bound `_Gen.top` of every value it computes."""
-    src, gen = _source(exprs, names, dim, backend)
+    With `pairs`, `exprs` alternate the left and right sides of identities,
+    and `f` returns the tuple of the left sides' values and that of the right
+    sides'.  With `f`, the bound `_Gen.top` of every value it computes."""
+    src, gen = _source(exprs, names, dim, backend, pairs)
     exec(compile(src, "<triprod identity>", "exec"), gen.ns)
     return gen.ns["f"], gen.top
 
@@ -772,37 +804,48 @@ class CheckReport(Record):
 
 def _run_check(identities, samples, dim, backend, tolerance, seed, coeff_range) -> list:
     """Reports for identities with equally many free variables, checked
-    together: on each sample, a tuple of coefficient tuples bound to each
-    identity's free variables in order, one generated function gives both
-    sides of every identity, so whatever they share is computed once.
+    together: `samples(ring)` yields each trial's sample in `ring`'s scalars,
+    a tuple of coefficient tuples bound to each identity's free variables in
+    order, and one generated function gives the tuple of the left sides and
+    that of the right sides, so whatever they share is computed once.
 
     Where no sample coefficient passes `coeff_range` in magnitude and
     `core.binary64_twin` finds that binary64 computes every value of the
-    function exactly, the function runs on float copies of the samples.  Its
-    sides, and so the differences `compare` takes, are then exact, and the
-    largest is turned back into a rational once, for the report."""
+    function exactly, the function runs on float samples.  Its sides, and so
+    the differences `compare` takes, are then exact, and the largest is
+    turned back into a rational once, for the report.  Where
+    `core.equality_decides` finds that `==` decides a trial as `compare`
+    does, a trial whose sides are all equal passes with no `compare` call,
+    and so does an identity whose sides are equal."""
     ring = BACKENDS[backend]
     names = [identity.free_vars for identity in identities for _ in (0, 1)]
     exprs = [side for identity in identities for side in (identity.lhs, identity.rhs)]
-    sides, (c, d, den) = _generate(exprs, names, dim, backend)
-    floats = binary64_twin(ring, c * coeff_range**d, den)
+    sides, (c, d, den) = _generate(exprs, names, dim, backend, True)
+    bound = c * coeff_range**d
+    floats = binary64_twin(ring, bound, den)
     if floats:
         sides = _on_ring(sides, floats, dim)
+    equality = equality_decides(ring, bound, den)
     compare = ring.compare
     count = len(identities)
     trials = 0
     failures = [0] * count
     max_devs = [ring.zero] * count
     witnesses = [None] * count
-    for args in samples:
+    for args in samples(floats or ring):
         trials += 1
-        values = iter(sides(*[floats.from_ints(a) for a in args]) if floats else sides(*args))
-        for k, lhs, rhs in zip(range(count), values, values):
-            max_devs[k], failed = compare(lhs, rhs, tolerance, args, max_devs[k])
+        lhs, rhs = sides(*args)
+        if equality and lhs == rhs:
+            continue
+        for k, x, y in zip(range(count), lhs, rhs):
+            if equality and x == y:
+                continue
+            max_devs[k], failed = compare(x, y, tolerance, args, max_devs[k])
             if failed:
                 failures[k] += 1
                 if witnesses[k] is None:
-                    witnesses[k] = {name: HNum(dim, a, backend)
+                    witnesses[k] = {name: HNum(dim, tuple(map(rational, a)) if floats else a,
+                                               backend)
                                     for name, a in zip(identities[k].free_vars, args)}
     if floats:
         max_devs = list(map(rational, max_devs))
@@ -843,16 +886,37 @@ def _prepare(identity, dim: int, backend: str, seed):
 
 
 def _sampler(rng: random.Random, bound: int):
-    """`draw(count)`: the next `count` values of `rng.randint(-bound, bound)`.
+    """`draw(count)`: the list of the next `count` values of
+    `rng.randint(-bound, bound)`, leaving `rng` in the state those calls do.
 
-    This is the rejection loop `randint` runs (`Random._randbelow`): draw
-    `k` bits, reject values beyond the range.  The values and the generator
-    state are those of calling `randint` `count` times, without its two
-    Python calls per value.
+    `randint` runs a rejection loop (`Random._randbelow`): it takes the top
+    `k` bits of the generator's next 32-bit word, k the length of
+    n = 2*bound + 1, until they are below n.  Where k is at most 8, `draw`
+    works in rounds instead, one `getrandbits` call each, for a word per
+    value still missing (CPython puts the first word lowest on every host):
+    `bytes.translate` keeps each word's top byte, deletes those whose top k
+    bits are n or more and maps the others to their values.  A round accepts
+    at most as many words as values are missing, so it takes each word that
+    `randint` would take, for a value or to reject it, and no other.  A wider
+    range draws value by value, with `randint`'s loop minus its two Python
+    calls per value.
     """
     n = 2 * bound + 1
     k = n.bit_length()
     getrandbits = rng.getrandbits
+    if k <= 8:
+        shift = 8 - k
+        values = bytes((b >> shift) - bound & 0xFF for b in range(256))  # as signed bytes
+        rejected = bytes(b for b in range(256) if b >> shift >= n)
+
+        def draw(count: int) -> list:
+            out = b""
+            while missing := count - len(out):
+                words = getrandbits(32 * missing).to_bytes(4 * missing, "little")
+                out += words[3::4].translate(values, rejected)
+            return memoryview(out).cast("b").tolist()
+
+        return draw
 
     def draw(count: int) -> list:
         out = []
@@ -869,8 +933,8 @@ def _checks(identities, samples, dim, backend, tolerance, seed, coeff_range):
     """Yield a report per identity, in order, taking GROUP_SIZE at a time.
     When the first of a batch's identities with `count` free variables is
     due, its group, all of those, is made and checked together by
-    `_run_check` on `samples(count)`, whose coefficients are at most
-    `coeff_range` in magnitude."""
+    `_run_check` on the samples `samples(count, ring)` yields in `ring`'s
+    scalars, whose coefficients are at most `coeff_range` in magnitude."""
     identities = iter(identities)
     while batch := [_prepare(identity, dim, backend, seed)
                     for identity in itertools.islice(identities, GROUP_SIZE)]:
@@ -883,8 +947,8 @@ def _checks(identities, samples, dim, backend, tolerance, seed, coeff_range):
             if count not in reports:
                 group = [x for x in batch
                          if not isinstance(x, CheckReport) and len(x.free_vars) == count]
-                reports[count] = iter(_run_check(group, samples(count), dim, backend,
-                                                tolerance, seed, coeff_range))
+                reports[count] = iter(_run_check(group, functools.partial(samples, count), dim,
+                                                backend, tolerance, seed, coeff_range))
             yield next(reports[count])
 
 
@@ -903,13 +967,17 @@ def check_identities(identities, dim: int = 8, backend: str = EXACT, trials: int
     """
     tolerance = check_options(backend, tolerance, trials, coeff_range, seed, dim)
 
-    def samples(count):
-        from_ints = BACKENDS[backend].from_ints
+    def samples(count, ring):
+        # A block of trials' coefficients is drawn and made `ring`'s scalars
+        # at once, then cut into coefficient tuples, `count` to a trial.
+        if not count:  # zip() of no vectors makes no trials
+            yield from itertools.repeat((), trials)
+            return
         draw = _sampler(random.Random(seed), coeff_range)
-        size = dim * count
-        for _ in range(trials):
-            ints = draw(size)
-            yield tuple([from_ints(ints[i:i + dim]) for i in range(0, size, dim)])
+        for start in range(0, trials, SAMPLE_BLOCK):
+            size = dim * count * min(SAMPLE_BLOCK, trials - start)
+            vectors = zip(*[iter(ring.from_ints(draw(size)))] * dim)
+            yield from zip(*[vectors] * count)
 
     return _checks(identities, samples, dim, backend, tolerance, seed, coeff_range)
 
@@ -948,8 +1016,8 @@ def check_identity_basis(identity, dim: int = 8, backend: str = EXACT,
     """
     tolerance = check_options(backend, tolerance, dim=dim)
 
-    def samples(count):
-        bases = [basis(dim, k, backend).coeffs for k in range(dim)]
+    def samples(count, ring):
+        bases = [ring.from_ints(basis(dim, k).coeffs) for k in range(dim)]
         return itertools.product(bases, repeat=count)
 
     return next(_checks((identity,), samples, dim, backend, tolerance, 0, 1))

@@ -557,6 +557,59 @@ def test_check_binary64_overflow_never_passes():
     assert not report.max_deviation < float("inf")
 
 
+@pytest.mark.parametrize("text", [
+    "(u1*u2)*(u1*u2) == (u1*u2)*(u1*u2)",
+    "normsq(u1*u2) == normsq(u1)*normsq(u2)",
+])
+def test_equal_sides_that_may_overflow_never_pass(text):
+    # At 1e80 the degree-4 values overflow.  Value numbering makes the first
+    # line's two sides one tuple, which `==` finds equal to itself even with
+    # a NaN inside, and inf == inf: past the bound `==` decides nothing.
+    report = check_identity(text, backend=BINARY64, trials=20, coeff_range=10**80)
+    assert (report.status, report.failures) == ("FAIL", 20)
+    assert report.max_deviation != report.max_deviation
+
+
+def _compared(monkeypatch) -> dict:
+    # `compare` calls per ring, the exact ring's on its binary64 runs too.
+    calls = dict.fromkeys(core.BACKENDS, 0)
+    for name, ring in core.BACKENDS.items():
+        def counted(*args, name=name, compare=ring.compare):
+            calls[name] += 1
+            return compare(*args)
+        monkeypatch.setattr(ring, "compare", counted)
+    return calls
+
+
+@pytest.mark.parametrize("coeff_range", [9, 10**6, 10**80])
+def test_equal_sides_pass_without_compare_on_exact(monkeypatch, coeff_range):
+    # A trial whose sides are equal passes on `==`: on the exact ring, at any
+    # range, only unequal sides are compared.
+    calls = _compared(monkeypatch)
+    reports = list(check_identities(builtin_lines(8) + ["u1*u2 == u2*u1"], trials=20,
+                                    coeff_range=coeff_range))
+    assert [r.status for r in reports] == ["PASS"] * 64 + ["FAIL"]
+    assert calls == {EXACT: reports[-1].failures, BINARY64: 0}
+
+
+def test_equal_sides_pass_without_compare_on_binary64_below_the_bound_only(monkeypatch):
+    calls = _compared(monkeypatch)
+    counts = []
+    for coeff_range in (9, 1000, 10**80):
+        calls[BINARY64] = 0
+        list(check_identities(builtin_lines(8), backend=BINARY64, trials=20,
+                              coeff_range=coeff_range))
+        counts.append(calls[BINARY64])
+    # At 9 every value is exact, so equal; at 1000 some round, and at 1e80
+    # the groups whose values may overflow compare every identity.
+    assert counts[0] == 0 < counts[1] < counts[2] < 64 * 20
+    calls[BINARY64] = 0
+    lines = ["u1*u2 == u2*u1 + 0*u2", "(u1*u2)*(u1*u2) == (u1*u2)*(u1*u2)"]
+    assert [r.status for r in check_identities(lines, dim=2, backend=BINARY64, trials=20,
+                                               coeff_range=10**80)] == ["PASS", "FAIL"]
+    assert calls == {EXACT: 0, BINARY64: 2 * 20}
+
+
 def test_deviation_keeps_a_nan_in_any_place():
     nan = float("nan")
     a = (0.0, 1.0, nan, 2.0)
@@ -570,8 +623,8 @@ def test_deviation_keeps_a_nan_in_any_place():
     assert _deviation((0.0, 5.0), (1.0, 2.0)) == 3.0
     # Only the first trial overflows (inf - inf); later, finite ones keep its NaN.
     samples = [((x,),) for x in (1e300, 1.0, 3.0)]
-    (report,) = _run_check([parse("u1*u1 == u1*u1 + u1 - u1")], samples, 1, BINARY64, 1e-9, 0,
-                           10**300)
+    (report,) = _run_check([parse("u1*u1 == u1*u1 + u1 - u1")], lambda ring: samples, 1, BINARY64,
+                           1e-9, 0, 10**300)
     assert report.failures == 1
     assert report.max_deviation != report.max_deviation
 
@@ -979,7 +1032,7 @@ def test_checking_together_keeps_each_lines_nan():
     # second, on the same samples, never sees it.
     samples = [((x,),) for x in (1e300, 1.0, 3.0)]
     first, second = _run_check([parse("u1*u1 == u1*u1 + u1 - u1"), parse("u1 == u1 + u1 - u1")],
-                               samples, 1, BINARY64, 1e-9, 0, 10**300)
+                               lambda ring: samples, 1, BINARY64, 1e-9, 0, 10**300)
     assert first.failures == 1 and first.max_deviation != first.max_deviation
     assert (second.failures, second.max_deviation) == (0, 0.0)
 
@@ -1009,9 +1062,9 @@ def test_groups_are_capped_and_checked_when_due(monkeypatch):
     made = []
     generate = dsl._generate
 
-    def counted(exprs, names, dim, backend):
+    def counted(exprs, names, dim, backend, pairs=False):
         made.append(len(exprs) // 2)
-        return generate(exprs, names, dim, backend)
+        return generate(exprs, names, dim, backend, pairs)
 
     monkeypatch.setattr(dsl, "_generate", counted)
     lines = [f"{k + 1}*u1 == u1 + {k}*u1" for k in range(GROUP_SIZE + 1)]

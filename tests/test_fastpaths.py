@@ -18,9 +18,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from triprod import BINARY64, DIMS, EXACT, HNum, check_identity, mul, scale
+from triprod import BINARY64, DIMS, EXACT, HNum, check_identities, check_identity, mul, scale
 from triprod.core import _ADD, _KERNELS, _SUB, BACKENDS, _canon, _t_add, _t_mul, _t_sub
-from triprod.dsl import _sampler
+from triprod import dsl
+from triprod.dsl import SAMPLE_BLOCK, _sampler
 
 INTS = st.integers(min_value=-10**30, max_value=10**30)
 FRACTIONS = st.fractions(max_denominator=10**6)
@@ -146,15 +147,69 @@ def test_kernel_keeps_signed_zeros(dim):
     _assert_kernel_matches(a, b, BINARY64)
 
 
-@pytest.mark.parametrize("bound", [1, 9, 1000])
+@pytest.mark.parametrize("bound", [1, 9, 127, 128, 1000])
 @pytest.mark.parametrize("seed", [0, 1, 42, 2024])
 def test_sampler_draws_the_randint_sequence(bound, seed):
+    # 127 is the widest range drawn a block at a time from words' top bytes,
+    # 128 the first drawn value by value.
     rng = random.Random(seed)
     draw = _sampler(rng, bound)
     got = [x for count in (8, 1, 4, 8, 2, 8) * 20 for x in draw(count)]
     ref = random.Random(seed)
     assert got == [ref.randint(-bound, bound) for _ in range(len(got))]
     assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("bound", [0, 1, 9, 100, 127, 128])
+def test_sampler_block_draws_keep_the_randint_state(bound):
+    # Draws of a block of trials' values and of sizes around it; each draw
+    # ends with the generator where `randint` leaves it.
+    rng, ref = random.Random(bound), random.Random(bound)
+    draw = _sampler(rng, bound)
+    for count in (0, 1, 8 * SAMPLE_BLOCK - 1, 8 * SAMPLE_BLOCK, 8 * SAMPLE_BLOCK + 1, 3, 0, 5000):
+        assert draw(count) == [ref.randint(-bound, bound) for _ in range(count)]
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("block", [1, 7, SAMPLE_BLOCK])
+def test_checks_draw_the_same_samples_in_any_block_size(monkeypatch, block):
+    # 50 trials: one block, several and one per trial give the same reports.
+    lines = ["u1*u2 == u2*u1", "inner(u1, u2) == inner(u2, u1) + 1", "3*e3 == e3", "u1 == u1"]
+    kw = dict(dim=4, trials=50, seed=5)
+    expected = [check_identity(line, **kw) for line in lines]
+    monkeypatch.setattr(dsl, "SAMPLE_BLOCK", block)
+    assert list(check_identities(lines, **kw)) == expected
+    assert expected[0].status == expected[1].status == expected[2].status == "FAIL"
+
+
+def test_an_identity_without_variables_runs_every_trial():
+    # No variables to bind: each trial is the empty tuple, not no trial.
+    for trials in (1, 5, SAMPLE_BLOCK + 1):
+        report = check_identity("3*e7 == e7", trials=trials)
+        assert (report.status, report.trials, report.failures) == ("FAIL", trials, trials)
+        assert report.witness == {}
+    assert check_identity("e7*e7 == -i0", trials=5).trials == 5
+
+
+def test_no_draw_asks_for_more_than_a_block(monkeypatch):
+    # Memory stays flat at any trial count: a draw asks the generator for at
+    # most one block of trials' words at a time.
+    asked = []
+    sampler = dsl._sampler
+
+    class Recorded:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def getrandbits(self, k):
+            asked.append(k)
+            return self.rng.getrandbits(k)
+
+    monkeypatch.setattr(dsl, "_sampler", lambda rng, bound: sampler(Recorded(rng), bound))
+    report = check_identity("u1*u2 == u2*u1", dim=2, trials=100_000)
+    assert (report.status, report.trials) == ("PASS", 100_000)
+    assert max(asked) <= 32 * 2 * 2 * SAMPLE_BLOCK
+    assert sum(k == 32 * 2 * 2 * SAMPLE_BLOCK for k in asked) == 100_000 // SAMPLE_BLOCK
 
 
 def test_sampler_at_bound_zero_still_draws():
